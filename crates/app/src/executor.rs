@@ -17,17 +17,42 @@
 //! characterization and a live parallel execution, and its phase times feed
 //! the Eq. (1)/(2) validation in `quake_core::model::validate`.
 //!
+//! # One step engine
+//!
+//! Every step, on every schedule, with or without faults or tracing, runs
+//! through one private engine: an assemble broadcast, then either a
+//! compute broadcast and an exchange broadcast (the **barrier** schedule)
+//! or one merged broadcast of three passes (the **overlap** schedule, see
+//! below), then the transport barrier and the driver's fold. The engine is
+//! built from one helper per PE-level job — gather, compute, post (pack
+//! and `Transport::post`), fetch-and-apply, plus the driver's fold — and
+//! one counter tally, so each of those loops exists exactly once.
+//!
+//! Faults and telemetry are plain `Option` hooks on that path, never a
+//! second copy of it, and never checked inside a kernel. An armed
+//! [`FaultPlan`](quake_core::fault::FaultPlan) is consulted once per PE in
+//! the compute pass (crash, straggle) and once per inbound message in the
+//! fetch (drop, corrupt, checksum verify, bounded re-fetch). Armed
+//! telemetry costs one check per inbound message (its latency sample)
+//! while a broadcast runs; the spans, histograms, transport waits and
+//! drift feed are recorded in one block after the fold, from per-PE laps
+//! that every step keeps anyway for the report. What the hooks cost when
+//! disarmed versus armed is measured, not assumed: the repository
+//! benchmark reports it as `fault.overhead_ratio` (armed-but-empty vs
+//! disarmed) and `trace.overhead` (traced vs untraced) — see
+//! `perfbench/README.md`.
+//!
 //! # Allocation-free steady state
 //!
 //! The paper's time loop repeats this product 6000 times, so the executor
 //! owns every per-step buffer (`x_local`, partials, exchanged copies,
-//! timing scratch) and each [`BspExecutor::step_into`] reuses them: after
-//! the first step no phase allocates, dispatch goes through
-//! [`WorkerPool::broadcast`] (one shared closure per phase, nothing boxed),
-//! and the measured phase walls reflect memory-system behaviour instead of
-//! allocator traffic. [`BspExecutor::buffer_fingerprint`] exposes buffer
-//! pointers/capacities so tests can assert the steady state really is
-//! allocation-free.
+//! per-PE clocks, fault and telemetry scratch, the checkpoint snapshot)
+//! and each [`BspExecutor::step_into`] reuses them: after the first step
+//! no phase allocates, dispatch goes through [`WorkerPool::try_broadcast`]
+//! (one shared closure per phase, nothing boxed), and the measured phase
+//! walls reflect memory-system behaviour instead of allocator traffic.
+//! [`BspExecutor::buffer_fingerprint`] exposes buffer pointers/capacities
+//! so tests can assert the steady state really is allocation-free.
 //!
 //! # RCM locality pre-pass
 //!
@@ -49,32 +74,33 @@
 //! (a neighbor consumes its partial), **interior** otherwise; a stable
 //! boundary-first permutation makes the boundary rows contiguous at the
 //! front without disturbing any row's entry order. At step time compute
-//! and exchange share ONE pool broadcast: every worker first computes and
-//! *posts* its PEs' boundary rows (a Release-flagged publish — the only
-//! data any neighbor waits on), then computes the interior rows while
-//! other workers are still posting, then runs the exchange, blocking per
-//! inbound message only until that sender's flag is up. The interior SMVP
-//! is the work the schedule hides the exchange latency behind — the
-//! paper's overlap opportunity, executed rather than simulated — and
+//! and exchange share ONE pool broadcast: every worker (A) computes and
+//! *posts* its PEs' boundary rows — the only data any neighbor waits on —
+//! then (B) computes the interior rows while other workers are still
+//! posting, then (C) fetches and applies each inbound block, blocking only
+//! until that sender's post has landed. Pass A never blocks, so every post
+//! eventually lands and pass C cannot deadlock however PEs are striped
+//! across workers. The interior SMVP is the work the schedule hides the
+//! exchange latency behind — the paper's overlap opportunity, executed
+//! rather than simulated — and
 //! [`OverlapAnalysis`](quake_partition::comm::OverlapAnalysis) prices
 //! exactly this schedule (`T_step = max(T_interior, T_exchange) +
 //! T_boundary`). Because rows are independent, the permutation is
 //! entry-order-stable, and inbound pairs apply in the barrier order, the
 //! overlapped product is **bitwise-equal** to the barrier product and
 //! every flop/word/block counter is unchanged (both asserted by the
-//! `overlap_equivalence` tests). With faults armed the executor falls
-//! back to the barrier-phase chaos path — the staged, checksummed
-//! exchange already serializes against compute — over the same
+//! `overlap_equivalence` tests). Armed faults force the barrier schedule —
+//! a crash must be caught before anything is posted — over the same
 //! boundary-first matrices, so recovery invariants survive unchanged.
 //!
 //! # Fault injection & recovery
 //!
 //! [`BspExecutor::enable_faults`] arms a seeded
 //! [`FaultPlan`](quake_core::fault::FaultPlan): per-step, per-PE straggler
-//! delays and PE crashes fire in the compute phase; dropped and corrupted
-//! exchange blocks fire in the exchange phase, where every inbound block is
-//! routed through a staging buffer with a sender-side checksum. Recovery is
-//! built in — dropped blocks are re-fetched after a bounded
+//! delays and PE crashes fire in the compute pass; dropped and corrupted
+//! exchange blocks fire in the fetch, where every inbound block is
+//! verified against the sender-side checksum its transport carries.
+//! Recovery is built in — dropped blocks are re-fetched after a bounded
 //! exponential-backoff retry, checksum mismatches force a clean re-fetch,
 //! and a crashed PE is healed per [`RecoveryPolicy`]: `FailFast` re-raises
 //! (the pre-chaos behaviour), `Degrade` re-executes the dead shard on a
@@ -85,8 +111,6 @@
 //! **bitwise-equal** to a fault-free run (asserted by the chaos tests), and
 //! under `Restart` the checkpoint rollback keeps even the accumulated
 //! `F`/`C`/`B` counters exactly equal to the fault-free characterization.
-//! With faults disabled the clean `step_into` path is untouched — zero
-//! overhead, identical counters.
 
 use crate::distributed::DistributedSystem;
 use crate::transport::{ghost_edges, SharedTransport, Transport};
@@ -339,19 +363,6 @@ impl PeState {
             None => bmv_range_into(&self.stiffness, xl, rows, out),
         }
     }
-
-    /// Full local SMVP (every block row), overwriting `out`.
-    fn mult_full(&self, xl: &[Vec3], out: &mut [Vec3]) {
-        match &self.tiled {
-            Some((tiles, plan)) => {
-                bmv_tiles_banded_into(tiles, plan, xl, 0..tiles.block_rows(), out)
-            }
-            None => self
-                .stiffness
-                .spmv(xl, out)
-                .expect("local dimensions consistent by construction"),
-        }
-    }
 }
 
 /// A raw pointer that may cross thread boundaries; each phase closure
@@ -408,7 +419,8 @@ struct Checkpoint {
 
 /// Per-PE chaos scratch, written by phase closures through disjoint
 /// [`SendPtr`] slots and folded into the [`FaultReport`] on the caller
-/// thread after each phase barrier (consumed by `std::mem::take`).
+/// thread once the attempt's broadcasts have drained (consumed by
+/// `std::mem::take`).
 #[derive(Debug, Clone, Copy, Default)]
 struct PeFaultScratch {
     straggles: u64,
@@ -451,50 +463,20 @@ struct FaultState {
 const MAX_FETCH_ATTEMPTS: u32 = 5;
 
 /// Everything the telemetry layer owns while armed: the core recorder plus
-/// the executor-side timing scratch its phase closures write through.
+/// the per-message latency scratch the fetch writes through.
 struct TelemetryState {
     /// The shared clock zero every span offset is measured from.
     epoch: Instant,
     data: Telemetry,
-    /// Per-PE phase-start offsets (ns since epoch), written in the phase
-    /// closures through disjoint [`SendPtr`] slots.
-    start_ns: Vec<u64>,
     /// Per-PE, per-inbound-message fetch latency scratch (ns), sized to the
     /// exchange schedule at arm time so recording never allocates.
     msg_ns: Vec<Vec<u64>>,
 }
 
-/// Everything the latency-hiding schedule owns while enabled: the
-/// boundary-first row split plus the publish flags and timing scratch its
-/// merged compute+exchange broadcast uses (see the module docs).
-struct OverlapState {
-    /// `boundary_rows[q]`: PE q's rows `0..nb` are boundary rows (consumed
-    /// by a neighbor's exchange), `nb..n` are interior.
-    boundary_rows: Vec<usize>,
-    /// Raw base pointer of `partials[q]`, refreshed by the driver each
-    /// step. Workers carve disjoint sub-slices out of it (boundary rows in
-    /// pass A, interior rows in pass B) and read neighbor boundary
-    /// elements through it in pass C — never through a reference that
-    /// covers rows another thread is writing.
-    part_base: Vec<SendPtr<Vec3>>,
-    /// Per-PE boundary-SMVP seconds (pass A).
-    post_elapsed: Vec<f64>,
-    /// Per-PE exchange seconds (pass C, spin waits included).
-    exch_elapsed: Vec<f64>,
-    /// Per-PE seconds of pass C spent spinning on neighbor flags.
-    wait_elapsed: Vec<f64>,
-    /// Per-PE pass-A start offsets (ns since telemetry epoch).
-    post_start: Vec<u64>,
-    /// Per-PE pass-C start offsets (ns since telemetry epoch).
-    exch_start: Vec<u64>,
-    /// Drift-monitor input scratch (exchange minus spin wait).
-    drift_scratch: Vec<f64>,
-}
-
-/// Node-placement view of a two-level (node-aware) run, used by the traced
-/// step paths for attribution only. The exchange schedule never consults
-/// it: aggregation happens entirely inside the transport, so arming a node
-/// map changes no output, no counter, and no acquire order.
+/// Node-placement view of a two-level (node-aware) run, used by traced
+/// steps for attribution only. The exchange schedule never consults it:
+/// aggregation happens entirely inside the transport, so arming a node map
+/// changes no output, no counter, and no acquire order.
 struct NodeView {
     /// PE → node placement (matches the transport's `NodeMap`).
     node_of: Vec<usize>,
@@ -515,44 +497,423 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
 }
 
 impl TelemetryState {
-    /// Records one work span plus the trailing barrier-wait span for every
-    /// *owned* PE of a finished phase, and feeds the phase wall counters.
-    /// `elapsed` is per-PE work seconds (indexed by global PE id), `wall`
-    /// the phase wall; per-PE starts were staged into `start_ns` (by the
-    /// traced closures, or uniformly by the chaos caller).
-    fn record_phase(
-        &mut self,
-        phase: PhaseId,
-        step: u64,
-        elapsed: &[f64],
-        wall: f64,
-        owned: Range<usize>,
-    ) {
-        self.data.add_phase_wall(phase, secs_to_ns(wall));
-        for q in owned {
-            let dt = elapsed[q];
-            let dur_ns = secs_to_ns(dt);
-            let start = self.start_ns[q];
+    /// Records PE `q`'s span for one lap of `phase`; returns the span's end
+    /// offset (ns since epoch).
+    fn span(&mut self, phase: PhaseId, q: usize, step: u64, lap: Lap) -> u64 {
+        let start_ns = ns_since(self.epoch, lap.start);
+        let dur_ns = secs_to_ns(lap.secs);
+        self.data.span(Span {
+            phase,
+            pe: q as u32,
+            step,
+            start_ns,
+            dur_ns,
+        });
+        start_ns + dur_ns
+    }
+
+    /// Records the `secs` PE `q` sat idle at the end of a broadcast as a
+    /// Barrier span starting at `from_ns`, and bills it to the Barrier
+    /// phase wall. Nothing when the PE never idled.
+    fn idle(&mut self, q: usize, step: u64, from_ns: u64, secs: f64) {
+        if secs > 0.0 {
+            let dur_ns = secs_to_ns(secs);
+            self.data.add_phase_wall(PhaseId::Barrier, dur_ns);
             self.data.span(Span {
-                phase,
+                phase: PhaseId::Barrier,
                 pe: q as u32,
                 step,
-                start_ns: start,
+                start_ns: from_ns,
                 dur_ns,
             });
-            let wait = (wall - dt).max(0.0);
-            if wait > 0.0 {
-                let wait_ns = secs_to_ns(wait);
-                self.data.add_phase_wall(PhaseId::Barrier, wait_ns);
-                self.data.span(Span {
-                    phase: PhaseId::Barrier,
-                    pe: q as u32,
-                    step,
-                    start_ns: start + dur_ns,
-                    dur_ns: wait_ns,
-                });
+        }
+    }
+}
+
+/// When one pass of one PE started and how many seconds of work it took.
+#[derive(Debug, Clone, Copy)]
+struct Lap {
+    start: Instant,
+    secs: f64,
+}
+
+impl Lap {
+    /// The lap from `start` to now.
+    fn since(start: Instant) -> Self {
+        Lap {
+            start,
+            secs: start.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+/// One PE's laps in the current step: written by the worker that owns the
+/// PE, read by the driver once the broadcast has drained. Every step keeps
+/// them — they feed the report's per-PE seconds — and traced steps turn
+/// them into spans.
+#[derive(Debug, Clone, Copy)]
+struct PeClock {
+    assemble: Lap,
+    /// Overlap pass A: boundary rows plus post. The barrier schedule does
+    /// not run it and never reads it.
+    post: Lap,
+    /// The local SMVP (barrier) or pass B's interior rows (overlap).
+    compute: Lap,
+    /// Post plus fetch-and-apply (barrier) or pass C's fetch-and-apply
+    /// (overlap).
+    exchange: Lap,
+    /// Seconds of `exchange` spent blocked in `Transport::acquire`.
+    waited: f64,
+}
+
+/// Wall seconds of the compute and exchange broadcasts of one step, per
+/// schedule. The schedule decides how they bill to the report's phases.
+#[derive(Debug, Clone, Copy)]
+enum Walls {
+    /// A compute broadcast, then an exchange broadcast.
+    Barrier { compute: f64, exchange: f64 },
+    /// One merged broadcast running passes A, B and C.
+    Overlap { merged: f64 },
+}
+
+/// The armed chaos layer as the phase closures see it.
+struct FaultHook<'a> {
+    plan: &'a FaultPlan,
+    fired: &'a [AtomicBool],
+    scratch: SendPtr<PeFaultScratch>,
+}
+
+impl FaultHook<'_> {
+    /// Consumes plan event `e`: true only the first time it is asked.
+    fn fire(&self, e: usize) -> bool {
+        !self.fired[e].swap(true, Ordering::Relaxed)
+    }
+
+    /// Reads or updates PE `q`'s chaos scratch.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` in the current phase (see [`StepView`]).
+    unsafe fn scratch<R>(&self, q: usize, f: impl FnOnce(&mut PeFaultScratch) -> R) -> R {
+        // SAFETY: the caller owns slot q, so this is its only reference.
+        f(unsafe { &mut *self.scratch.get().add(q) })
+    }
+
+    /// Compute-pass injection for PE `q`: an unfired crash panics the
+    /// worker (checked first, so a consumed straggle always has a written
+    /// lap behind it); an unfired straggle sleeps its delay.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` in the current phase (see [`StepView`]).
+    unsafe fn strike(&self, step: u64, q: usize) {
+        let events = self.plan.events();
+        for e in self.plan.at(step, q) {
+            if let FaultKind::Crash = events[e].kind {
+                if self.fire(e) {
+                    // SAFETY: the caller owns PE q.
+                    unsafe { self.scratch(q, |sc| sc.crashes += 1) };
+                    panic!("injected fault: PE {q} crash at step {step}");
+                }
             }
         }
+        for e in self.plan.at(step, q) {
+            if let FaultKind::Straggle { delay_us } = events[e].kind {
+                if self.fire(e) {
+                    let delay = Duration::from_micros(u64::from(delay_us));
+                    // SAFETY: the caller owns PE q.
+                    unsafe {
+                        self.scratch(q, |sc| {
+                            sc.straggles += 1;
+                            sc.straggle_delay_s += delay.as_secs_f64();
+                        })
+                    };
+                    std::thread::sleep(delay);
+                }
+            }
+        }
+    }
+
+    /// True if the network eats this fetch of PE `q`'s inbound message
+    /// `mi`: an unfired Drop event is charged to it (the j-th Drop on PE q
+    /// targets message j mod `n_msgs`).
+    fn drops(&self, step: u64, q: usize, mi: usize, n_msgs: usize) -> bool {
+        let events = self.plan.events();
+        let mut dcount = 0usize;
+        for e in self.plan.at(step, q) {
+            if let FaultKind::Drop = events[e].kind {
+                let victim = dcount % n_msgs;
+                dcount += 1;
+                if victim == mi && self.fire(e) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// In-flight corruption of PE `q`'s staged message `mi`: flips one bit
+    /// of one ghost word, chosen by the salt of an unfired Corrupt event
+    /// that targets the message. True if a bit flipped.
+    fn corrupt(&self, step: u64, q: usize, mi: usize, n_msgs: usize, block: &mut [Vec3]) -> bool {
+        for e in self.plan.at(step, q) {
+            if let FaultKind::Corrupt { salt } = self.plan.events()[e].kind {
+                if (salt as usize) % n_msgs == mi && self.fire(e) {
+                    let wi = ((salt >> 8) as usize) % (3 * block.len());
+                    let bit = ((salt >> 32) % 64) as u32;
+                    let v = &mut block[wi / 3];
+                    let c = match wi % 3 {
+                        0 => &mut v.x,
+                        1 => &mut v.y,
+                        _ => &mut v.z,
+                    };
+                    *c = f64::from_bits(c.to_bits() ^ (1u64 << bit));
+                    return true;
+                }
+            }
+        }
+        false
+    }
+}
+
+/// One step's view of the executor, shared by every phase closure: plain
+/// references to the read-only plan plus [`SendPtr`]s to the per-PE
+/// buffers. Each method touches only the slots of the PE `q` it is given.
+/// Its safety contract is ownership: only the thread that owns `q` in the
+/// current phase may pass it — the worker whose chunk holds `q` while a
+/// broadcast runs (each PE belongs to exactly one chunk), the driver
+/// between broadcasts — so no two threads ever reach the same slot, and
+/// the broadcast barrier orders every hand-over.
+struct StepView<'a> {
+    step: u64,
+    x: &'a [Vec3],
+    pe: &'a [PeState],
+    inbound: &'a [Vec<Inbound>],
+    outbound: &'a [Vec<Outbound>],
+    link: &'a dyn Transport,
+    x_local: SendPtr<Vec<Vec3>>,
+    partials: SendPtr<Vec<Vec3>>,
+    exchanged: SendPtr<Vec<Vec3>>,
+    pack: SendPtr<Vec<Vec3>>,
+    stage: SendPtr<Vec<Vec3>>,
+    clock: SendPtr<PeClock>,
+    /// The armed chaos layer, or `None`.
+    fault: Option<FaultHook<'a>>,
+    /// Armed telemetry's per-message latency scratch, or `None`.
+    msg_ns: Option<SendPtr<Vec<u64>>>,
+}
+
+impl StepView<'_> {
+    /// Reads or updates PE `q`'s clock.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` (see the type docs).
+    unsafe fn clock<R>(&self, q: usize, f: impl FnOnce(&mut PeClock) -> R) -> R {
+        // SAFETY: the caller owns slot q, so this is its only reference.
+        f(unsafe { &mut *self.clock.get().add(q) })
+    }
+
+    /// Assemble: gathers PE `q`'s replicated local x from the global input.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` (see the type docs).
+    unsafe fn gather(&self, q: usize) {
+        // SAFETY: the caller owns slot q.
+        let xl = unsafe { &mut *self.x_local.get().add(q) };
+        for (slot, &g) in xl.iter_mut().zip(&self.pe[q].gather) {
+            *slot = self.x[g];
+        }
+    }
+
+    /// Compute: PE `q`'s local SMVP over block rows `rows`, into the same
+    /// rows of its partials.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` (see the type docs).
+    unsafe fn compute(&self, q: usize, rows: Range<usize>) {
+        // SAFETY: the caller owns slot q; x_local[q] was fully written
+        // before the assemble barrier.
+        let (xl, part) = unsafe {
+            (
+                &*self.x_local.get().add(q),
+                &mut *self.partials.get().add(q),
+            )
+        };
+        self.pe[q].mult_range(xl, rows.clone(), &mut part[rows]);
+    }
+
+    /// Exchange, send half: packs PE `q`'s outbound ghost blocks in the
+    /// receiver's pair order and posts them. Posting is not a fault
+    /// target: drops and corruption strike the receive side of the modeled
+    /// wire, so posted blocks are always clean.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` (see the type docs).
+    unsafe fn post(&self, q: usize) {
+        // SAFETY: the caller owns slot q.
+        let (mine, buf) = unsafe { (&*self.partials.get().add(q), &mut *self.pack.get().add(q)) };
+        for ob in &self.outbound[q] {
+            let blk = &mut buf[..ob.send_idx.len()];
+            for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
+                *slot = mine[l];
+            }
+            self.link
+                .post(self.step, q, ob.to, blk)
+                .expect("transport post");
+        }
+    }
+
+    /// Exchange, receive half: seeds `exchanged[q]` with PE `q`'s own
+    /// partials, then fetches each inbound block through the staging
+    /// buffer (the modeled NI buffer) and adds it in schedule order — the
+    /// serial product's summation order, so every transport and schedule
+    /// is bitwise-equal. With faults armed a fetch may be dropped (retried
+    /// after a bounded backoff) or corrupted in flight (caught by the
+    /// receiver-side checksum and re-fetched). Returns the seconds spent
+    /// blocked in `Transport::acquire`.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns PE `q` (see the type docs).
+    unsafe fn fetch_apply(&self, q: usize) -> f64 {
+        let step = self.step;
+        // SAFETY: the caller owns slot q; partials[q] is complete, written
+        // by this same thread's compute passes.
+        let (out, mine, buf) = unsafe {
+            (
+                &mut *self.exchanged.get().add(q),
+                &*self.partials.get().add(q),
+                &mut *self.stage.get().add(q),
+            )
+        };
+        out.copy_from_slice(mine);
+        let n_msgs = self.inbound[q].len();
+        let mut waited = 0.0f64;
+        for (mi, msg) in self.inbound[q].iter().enumerate() {
+            let tm = self.msg_ns.map(|_| Instant::now());
+            let block = &mut buf[..msg.pairs.len()];
+            let mut retry = None;
+            let mut attempt: u32 = 0;
+            loop {
+                attempt += 1;
+                assert!(
+                    attempt <= MAX_FETCH_ATTEMPTS,
+                    "PE {q} message {mi}: fetch failed after {MAX_FETCH_ATTEMPTS} attempts"
+                );
+                if let Some(f) = &self.fault {
+                    if f.drops(step, q, mi, n_msgs) {
+                        // Detected: the fetch visibly failed. Retry after a
+                        // bounded decorrelated-jitter backoff, seeded per
+                        // (step, PE, message) so a replayed step sleeps the
+                        // identical schedule.
+                        let backoff = retry
+                            .get_or_insert_with(|| {
+                                RetryBackoff::new(mix64(
+                                    step ^ ((q as u64) << 40) ^ ((mi as u64) << 20),
+                                ))
+                            })
+                            .next_delay();
+                        // SAFETY: the caller owns PE q.
+                        unsafe {
+                            f.scratch(q, |sc| {
+                                sc.drops += 1;
+                                sc.drops_detected += 1;
+                                sc.retries += 1;
+                                sc.backoff_ns += backoff.as_nanos() as u64;
+                            })
+                        };
+                        std::thread::sleep(backoff);
+                        continue;
+                    }
+                }
+                // A re-fetch acquires the same posted step again.
+                let ts = self.fault.as_ref().map(|_| Instant::now());
+                let info = self
+                    .link
+                    .acquire(step, msg.neighbor, q, block)
+                    .expect("transport acquire");
+                waited += info.waited_s;
+                if let (Some(f), Some(ts)) = (&self.fault, ts) {
+                    let stage_ns = ts.elapsed().as_nanos() as u64;
+                    let corrupted = f.corrupt(step, q, mi, n_msgs, block);
+                    // Receiver-side verification against the sender-side
+                    // checksum the transport carried; a mismatch forces a
+                    // clean re-fetch of the whole block.
+                    let tv = Instant::now();
+                    let verified = self.link.verify(block, info.checksum);
+                    let verify_ns = tv.elapsed().as_nanos() as u64;
+                    // SAFETY: the caller owns PE q.
+                    unsafe {
+                        f.scratch(q, |sc| {
+                            sc.stage_ns += stage_ns;
+                            sc.verify_ns += verify_ns;
+                            sc.corrupts += u64::from(corrupted);
+                            sc.corrupts_detected += u64::from(!verified);
+                            sc.refetches += u64::from(!verified);
+                        })
+                    };
+                    if !verified {
+                        continue;
+                    }
+                }
+                break;
+            }
+            for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
+                out[m] += *v;
+            }
+            if let (Some(lat), Some(tm)) = (self.msg_ns, tm) {
+                // SAFETY: the caller owns slot q.
+                let lat = unsafe { &mut *lat.get().add(q) };
+                lat[mi] = tm.elapsed().as_nanos() as u64;
+            }
+        }
+        waited
+    }
+
+    /// `Degrade` recovery of one dead worker: re-runs its compute chunk
+    /// inline via `rerun` until the chunk completes (remaining one-shot
+    /// events may fire, and panic, again) and returns the attempts. The
+    /// rows are fully overwritten, so the result is bitwise what the
+    /// worker would have produced. Each attempt overwrites the chunk's
+    /// compute laps, but a straggle's sleep shows only in the attempt
+    /// where it fired, so a PE that straggled keeps its longest lap: the
+    /// observational evidence of the straggle survives the re-run.
+    ///
+    /// # Safety
+    ///
+    /// Called by the driver between broadcasts, so it owns every PE.
+    unsafe fn degrade(&self, chunk: Range<usize>, rerun: impl Fn()) -> u64 {
+        // SAFETY: the caller owns every PE.
+        let lap = |q: usize| unsafe { self.clock(q, |c| c.compute.secs) };
+        let mut longest: Vec<f64> = chunk.clone().map(lap).collect();
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let done = catch_unwind(AssertUnwindSafe(&rerun)).is_ok();
+            for (l, q) in longest.iter_mut().zip(chunk.clone()) {
+                *l = l.max(lap(q));
+            }
+            if done {
+                break;
+            }
+        }
+        let fault = self
+            .fault
+            .as_ref()
+            .expect("degrade runs only with faults armed");
+        for (&l, q) in longest.iter().zip(chunk) {
+            // SAFETY: the caller owns every PE.
+            unsafe {
+                if fault.scratch(q, |sc| sc.straggle_delay_s) > 0.0 {
+                    self.clock(q, |c| c.compute.secs = l);
+                }
+            }
+        }
+        attempts
     }
 }
 
@@ -573,12 +934,16 @@ pub struct BspExecutor {
     rcm: bool,
     /// The microkernel the compute phases dispatch to.
     kernel: KernelKind,
-    /// Armed chaos layer, or `None` for the untouched clean path.
+    /// Armed chaos layer, checked once per PE in the compute pass and once
+    /// per inbound message in the fetch; `None` when disarmed.
     fault: Option<Box<FaultState>>,
-    /// Armed telemetry layer, or `None` for the untouched clean path.
+    /// Armed telemetry layer, checked once per inbound message during a
+    /// step and recorded once after it; `None` when disarmed.
     telemetry: Option<Box<TelemetryState>>,
-    /// Latency-hiding schedule state, or `None` for the barrier schedule.
-    overlap: Option<Box<OverlapState>>,
+    /// Overlap schedule: `boundary_rows[q]` means PE q's rows `0..nb` are
+    /// boundary rows (a neighbor consumes them) and the rest interior.
+    /// `None` runs the barrier schedule.
+    boundary_rows: Option<Vec<usize>>,
     /// Node placement of a two-level run, or `None` when flat. Telemetry
     /// attribution only (see [`NodeView`]).
     node_view: Option<NodeView>,
@@ -592,11 +957,11 @@ pub struct BspExecutor {
     /// Per-PE receive staging buffer (the modeled NI buffer), sized to the
     /// largest inbound edge.
     stage: Vec<Vec<Vec3>>,
-    elapsed: Vec<f64>,
-    /// Per-PE seconds of the exchange spent blocked in `Transport::acquire`
-    /// waits — subtracted from the drift-monitor feed so transport spin
-    /// waits never read as per-PE load skew.
-    wait_scratch: Vec<f64>,
+    clock: Vec<PeClock>,
+    /// Per-PE exchange seconds net of `Transport::acquire` waits — the
+    /// drift monitor's feed, so transport spin waits never read as per-PE
+    /// load skew.
+    drift_feed: Vec<f64>,
     written: Vec<bool>,
     counters: Vec<PeCounters>,
     phases: PhaseWalls,
@@ -843,19 +1208,17 @@ impl BspExecutor {
                 .map(|s| vec![Vec3::ZERO; s.gather.len()])
                 .collect::<Vec<_>>()
         };
-        let overlap = if use_overlap {
-            Some(Box::new(OverlapState {
-                boundary_rows,
-                part_base: vec![SendPtr(std::ptr::null_mut()); p],
-                post_elapsed: vec![0.0; p],
-                exch_elapsed: vec![0.0; p],
-                wait_elapsed: vec![0.0; p],
-                post_start: vec![0; p],
-                exch_start: vec![0; p],
-                drift_scratch: vec![0.0; p],
-            }))
-        } else {
-            None
+        let now = Instant::now();
+        let lap = Lap {
+            start: now,
+            secs: 0.0,
+        };
+        let clock = PeClock {
+            assemble: lap,
+            post: lap,
+            compute: lap,
+            exchange: lap,
+            waited: 0.0,
         };
         BspExecutor {
             pool: WorkerPool::new(threads),
@@ -864,8 +1227,8 @@ impl BspExecutor {
             exchanged: local_buf(),
             pack,
             stage,
-            elapsed: vec![0.0; p],
-            wait_scratch: vec![0.0; p],
+            clock: vec![clock; p],
+            drift_feed: vec![0.0; p],
             written: vec![false; system.global_nodes()],
             global_nodes: system.global_nodes(),
             pe,
@@ -877,7 +1240,7 @@ impl BspExecutor {
             kernel: KernelKind::Micro,
             fault: None,
             telemetry: None,
-            overlap,
+            boundary_rows: use_overlap.then_some(boundary_rows),
             node_view: None,
             counters: vec![PeCounters::default(); p],
             phases: PhaseWalls::default(),
@@ -888,8 +1251,8 @@ impl BspExecutor {
     /// Arms the chaos layer: from the next step on, `plan`'s events fire at
     /// their scheduled (step, PE) slots and the executor recovers per
     /// `policy`, snapshotting its accumulators every `checkpoint_every`
-    /// steps. With an empty plan the chaos path still runs (useful for
-    /// invariance tests) but injects nothing.
+    /// steps. With an empty plan the fault hook and the checkpoints still
+    /// run (useful for invariance tests) but nothing is injected.
     ///
     /// # Panics
     ///
@@ -931,10 +1294,11 @@ impl BspExecutor {
     /// Arms the telemetry layer: from the next step on, every phase records
     /// per-PE spans, the exchange feeds the block latency/size histograms,
     /// and (if configured) the drift monitor checks each step against the
-    /// Eq. (2) model. With telemetry off the clean `step_into` path is
-    /// untouched — zero overhead, bitwise-identical output (and the traced
-    /// path performs the exact same arithmetic in the exact same order, so
-    /// tracing never changes results either).
+    /// Eq. (2) model. Traced and untraced steps run the same engine, so
+    /// tracing never changes results: the hook only times each inbound
+    /// message during the step and records the rest after the fold (see
+    /// the module docs for where it is checked and how its cost is
+    /// measured).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.enable_telemetry_at(config, Instant::now());
     }
@@ -944,7 +1308,6 @@ impl BspExecutor {
     /// is already expressed on the clock the parent's handshake-time offset
     /// measurement refers to — the merged timeline needs no post-hoc shift.
     pub fn enable_telemetry_at(&mut self, config: TelemetryConfig, epoch: Instant) {
-        let p = self.pe.len();
         // Per-*owned*-PE (C_i, B_i) per step, counting both directions like
         // `PeCounters::words()`/`blocks()` — the drift monitor must use the
         // same convention as the validation layer, and under a partial
@@ -964,7 +1327,6 @@ impl BspExecutor {
         self.telemetry = Some(Box::new(TelemetryState {
             epoch,
             data: Telemetry::new(self.owned.len(), loads, config),
-            start_ns: vec![0; p],
             msg_ns,
         }));
     }
@@ -993,7 +1355,7 @@ impl BspExecutor {
 
     /// True if this executor runs the latency-hiding overlap schedule.
     pub fn overlap_enabled(&self) -> bool {
-        self.overlap.is_some()
+        self.boundary_rows.is_some()
     }
 
     /// Selects the compute-phase microkernel. `MicroSimd` builds each
@@ -1082,18 +1444,9 @@ impl BspExecutor {
     /// Node-aware telemetry hooks for one traced exchange: per owned PE, a
     /// `gather` span (the share of its fetch time spent on same-node
     /// neighbors — the intra-node leg of the two-level exchange) nested at
-    /// the head of the exchange span, plus one histogram sample per merged
-    /// (node, node) block this shard leads. No-op on flat runs. `starts`
-    /// overrides the per-PE exchange span starts (the overlap schedule
-    /// stages them outside `telem.start_ns`); `durs` is per-PE exchange
-    /// seconds, used to clamp the nested span.
-    fn record_node_exchange(
-        &self,
-        telem: &mut TelemetryState,
-        step: u64,
-        starts: Option<&[u64]>,
-        durs: &[f64],
-    ) {
+    /// the head of its exchange span, plus one histogram sample per merged
+    /// (node, node) block this shard leads. No-op on flat runs.
+    fn record_node_exchange(&self, telem: &mut TelemetryState, step: u64) {
         let Some(nv) = &self.node_view else {
             return;
         };
@@ -1104,14 +1457,15 @@ impl BspExecutor {
                 .filter(|(_, m)| nv.node_of[m.neighbor] == nv.node_of[q])
                 .map(|(mi, _)| telem.msg_ns[q][mi])
                 .sum();
-            let gather_ns = intra_ns.min(secs_to_ns(durs[q]));
+            let exchange = self.clock[q].exchange;
+            let gather_ns = intra_ns.min(secs_to_ns(exchange.secs));
             if gather_ns > 0 {
                 telem.data.add_phase_wall(PhaseId::Gather, gather_ns);
                 telem.data.span(Span {
                     phase: PhaseId::Gather,
                     pe: q as u32,
                     step,
-                    start_ns: starts.map_or(telem.start_ns[q], |s| s[q]),
+                    start_ns: ns_since(telem.epoch, exchange.start),
                     dur_ns: gather_ns,
                 });
             }
@@ -1127,13 +1481,16 @@ impl BspExecutor {
     /// (checked in tests): the split the executor runs is the split the
     /// model prices.
     pub fn overlap_boundary_rows(&self) -> Option<&[usize]> {
-        self.overlap.as_deref().map(|o| o.boundary_rows.as_slice())
+        self.boundary_rows.as_deref()
     }
 
     /// `(pointer, capacity)` of every persistent per-step buffer. Steady
     /// state means this is identical before and after a `step_into` — the
     /// step reallocated nothing.
     pub fn buffer_fingerprint(&self) -> Vec<(usize, usize)> {
+        fn buf<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity())
+        }
         let mut fp = Vec::new();
         for group in [
             &self.x_local,
@@ -1142,12 +1499,15 @@ impl BspExecutor {
             &self.pack,
             &self.stage,
         ] {
-            for v in group {
-                fp.push((v.as_ptr() as usize, v.capacity()));
-            }
+            fp.extend(group.iter().map(buf));
         }
-        fp.push((self.elapsed.as_ptr() as usize, self.elapsed.capacity()));
-        fp.push((self.written.as_ptr() as usize, self.written.capacity()));
+        fp.extend([buf(&self.clock), buf(&self.drift_feed), buf(&self.written)]);
+        if let Some(f) = &self.fault {
+            fp.extend([buf(&f.checkpoint.counters), buf(&f.scratch)]);
+        }
+        if let Some(t) = &self.telemetry {
+            fp.extend(t.msg_ns.iter().map(buf));
+        }
         fp
     }
 
@@ -1179,1018 +1539,43 @@ impl BspExecutor {
         assert_eq!(x.len(), self.global_nodes, "x length must match mesh nodes");
         assert_eq!(y.len(), self.global_nodes, "y length must match mesh nodes");
         if self.fault.is_some() {
-            // Chaos keeps the barrier phases (the staged, checksummed
-            // exchange already serializes against compute); the
-            // boundary-first row order is baked into the matrices, so the
-            // output and counters still match the overlap-off run exactly.
-            return self.chaos_step_into(x, y);
+            self.chaos_step_into(x, y);
+        } else if self.execute_step(x, y, self.steps).is_err() {
+            unreachable!("only an armed Restart policy fails a step");
         }
-        if self.overlap.is_some() {
-            if self.telemetry.is_some() {
-                return self.overlap_traced_step_into(x, y);
-            }
-            return self.overlap_step_into(x, y);
-        }
-        if self.telemetry.is_some() {
-            return self.traced_step_into(x, y);
-        }
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let step = self.steps;
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-
-        // --- Compute phase: local SMVP per PE, in place. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier.
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            // 18 flops per traversed 3×3 block: the paper's F_i = 2·m_i
-            // counted from the matrix this step just multiplied.
-            c.flops += self.pe[q].stiffness.smvp_flops();
-        }
-
-        // --- Exchange phase: post every owned PE's outbound ghost blocks
-        // through the transport, then acquire and apply inbound blocks.
-        // Each worker posts ALL its PEs' edges before acquiring ANY, which
-        // keeps the schedule deadlock-free however PEs are striped across
-        // workers and shards. ---
-        let wall = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Post pass — publish the ghost blocks, packed in the
-                // receiver's pair order.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: pack[q], partials[q] and elapsed[q] belong to
-                    // this worker alone (one worker per PE).
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Acquire pass — fetch and apply in schedule order, the
-                // same floating-point summation order as the serial
-                // product (so every transport is bitwise-equivalent).
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q]/stage[q] are written (one
-                    // worker per PE); own partials were fully written
-                    // before the compute barrier.
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    for msg in &inbound[q] {
-                        let block = &mut buf[..msg.pairs.len()];
-                        link.acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) += t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
-        }
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector. ---
-        let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
-        self.phases.fold += t0.elapsed().as_secs_f64();
-
+        // One logical step, however many attempts it took.
         self.steps += 1;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.data.steps += 1;
+        }
     }
 
-    /// The telemetry-armed variant of [`BspExecutor::step_into`]: the exact
-    /// arithmetic of the clean path (same loops, same order — output is
-    /// bitwise-identical, asserted by the equivalence tests) with span,
-    /// histogram, and drift recording folded in. Kept as a separate
-    /// duplicate, like the chaos path, so the untraced hot path stays
-    /// byte-for-byte untouched.
-    fn traced_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        // Taken out of `self` for the duration of the step so phase loops
-        // can borrow executor fields freely; restored before returning.
-        let mut telem = self
-            .telemetry
-            .take()
-            .expect("traced step requires armed telemetry");
-        let step = self.steps;
-        let p = self.pe.len();
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let epoch = telem.epoch;
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        telem.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-
-        // --- Compute phase: local SMVP per PE, in place. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-        }
-        telem.record_phase(PhaseId::Compute, step, &self.elapsed, wall, owned.clone());
-        for q in owned.clone() {
-            telem.data.compute_ns.record(secs_to_ns(self.elapsed[q]));
-        }
-
-        // --- Exchange phase: post outbound ghost blocks through the
-        // transport, then acquire and apply inbound blocks (see the
-        // untraced path). Each inbound block's fetch-and-apply is timed
-        // individually. ---
-        let wall = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let msg_ns = SendPtr(telem.msg_ns.as_mut_ptr());
-            let wait = SendPtr(self.wait_scratch.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Post pass — publish the ghost blocks.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: pack[q], partials[q] and the timing scratch
-                    // belong to this worker alone (one worker per PE).
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Acquire pass — fetch and apply in schedule order.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q]/stage[q] (and this PE's
-                    // timing scratch) are written (one worker per PE).
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let lat = unsafe { &mut *msg_ns.get().add(q) };
-                    let mut waited = 0.0f64;
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        lat[mi] = tm.elapsed().as_nanos() as u64;
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) += t.elapsed().as_secs_f64();
-                        *wait.get().add(q) = waited;
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
-        }
-        telem.record_phase(PhaseId::Exchange, step, &self.elapsed, wall, owned.clone());
-        // Transport wait, nested inside each PE's exchange span at its tail:
-        // the profiler splits the exchange into apply (this PE's work) and
-        // wait (blocked in `acquire` on the sender's progress).
-        for q in owned.clone() {
-            let waited = self.wait_scratch[q].clamp(0.0, self.elapsed[q]);
-            if waited > 0.0 {
-                let wait_ns = secs_to_ns(waited);
-                telem.data.add_phase_wall(PhaseId::Wait, wait_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Wait,
-                    pe: q as u32,
-                    step,
-                    start_ns: telem.start_ns[q] + secs_to_ns(self.elapsed[q]) - wait_ns,
-                    dur_ns: wait_ns,
-                });
-            }
-        }
-        for q in owned.clone() {
-            for (mi, msg) in self.inbound[q].iter().enumerate() {
-                telem.data.block_latency_ns.record(telem.msg_ns[q][mi]);
-                telem.data.block_words.record(3 * msg.pairs.len() as u64);
-            }
-        }
-        self.record_node_exchange(&mut telem, step, None, &self.elapsed);
-        // The drift feed is exchange time minus transport wait: blocking in
-        // `acquire` tracks the *sender's* progress, not this PE's load, so
-        // leaving it in would flag healthy runs.
-        for q in owned.clone() {
-            self.wait_scratch[q] = (self.elapsed[q] - self.wait_scratch[q]).max(0.0);
-        }
-        let flagged = telem
-            .data
-            .drift
-            .as_mut()
-            .and_then(|m| m.observe(step, &self.wait_scratch[owned.clone()]));
-        if flagged.is_some() {
-            telem.data.instant(TraceInstant {
-                name: "drift:flagged",
-                pe: p as u32,
-                step,
-                at_ns: ns_since(epoch, Instant::now()),
-            });
-        }
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector (driver). ---
-        let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        telem.data.span(Span {
-            phase: PhaseId::Fold,
-            pe: p as u32,
-            step,
-            start_ns: ns_since(epoch, t0),
-            dur_ns: secs_to_ns(fold_dt),
-        });
-        telem
-            .data
-            .add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
-        telem.data.steps += 1;
-
-        self.steps += 1;
-        self.telemetry = Some(telem);
-    }
-
-    /// The latency-hiding variant of [`BspExecutor::step_into`] (see the
-    /// module docs). Assemble and fold are unchanged, but compute and
-    /// exchange run inside ONE pool broadcast with no barrier between
-    /// them. Each worker, for every PE it owns: (A) computes the boundary
-    /// rows and publishes them with a Release flag — neighbors consume
-    /// nothing else, so this is the only data the exchange waits on; (B)
-    /// computes the interior rows while other workers are still posting —
-    /// the work the schedule hides the exchange latency behind; (C) copies
-    /// its own partials and folds in each inbound message as soon as its
-    /// sender's flag says the boundary rows landed (Acquire). Pass A never
-    /// blocks, so every flag is eventually set and pass C cannot deadlock,
-    /// no matter how PEs are striped across workers.
-    ///
-    /// Output is bitwise-identical to the barrier schedule: rows are
-    /// independent, so computing them in two passes changes nothing; the
-    /// boundary-first permutation is entry-order-stable, so every row sums
-    /// in the same floating-point order; and pass C applies inbound pairs
-    /// in the same order as the barrier exchange. Flop/word/block counters
-    /// are identical for the same reason.
-    fn overlap_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let step = self.steps;
-        let mut ov = self
-            .overlap
-            .take()
-            .expect("overlap step requires overlap state");
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-
-        // --- Overlapped compute+exchange: one broadcast, three passes.
-        // Posting goes through the transport right after the boundary
-        // pass; the link's acquire is the wait the interior work hides. ---
-        for (slot, buf) in ov.part_base.iter_mut().zip(self.partials.iter_mut()) {
-            *slot = SendPtr(buf.as_mut_ptr());
-        }
-        let wall = {
-            let pe = &self.pe;
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let post_elapsed = SendPtr(ov.post_elapsed.as_mut_ptr());
-            let exch_elapsed = SendPtr(ov.exch_elapsed.as_mut_ptr());
-            let wait_elapsed = SendPtr(ov.wait_elapsed.as_mut_ptr());
-            let boundary = &ov.boundary_rows;
-            let part_base = &ov.part_base;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Pass A — compute and post the boundary rows.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier; rows 0..nb of partials[q] are written only
-                    // by this pass. Every posted slot is below nb (checked
-                    // at build), so the packed blocks are complete.
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let nb = boundary[q];
-                    let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].mult_range(xl, 0..nb, out);
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = out[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *post_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass B — interior rows, overlapping the neighbors' posts.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].stiffness.block_rows();
-                    let nb = boundary[q];
-                    // SAFETY: this sub-slice starts at nb — disjoint from
-                    // pass A's rows.
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
-                    };
-                    pe[q].mult_range(xl, nb..n, out);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass C — exchange as the posts land; the acquire blocks
-                // per inbound block only until its sender's post arrives.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let mut waited = 0.0f64;
-                    // SAFETY: only exchanged[q]/stage[q] are written (one
-                    // worker per PE). Own partials are complete — this
-                    // worker ran passes A and B for q above.
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe {
-                        std::slice::from_raw_parts(part_base[q].get() as *const Vec3, out.len())
-                    };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    for msg in &inbound[q] {
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                    }
-                    unsafe {
-                        *exch_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait_elapsed.get().add(q) = waited;
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        let mut cmax = 0.0f64;
-        for q in owned.clone() {
-            let c = &mut self.counters[q];
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            c.t_compute += post + interior;
-            c.t_exchange += exch;
-            c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
-            cmax = cmax.max(post + interior);
-        }
-        // The slowest PE's SMVP bills to compute; whatever wall remains
-        // past it is exchange that the interior work failed to hide.
-        self.phases.compute += cmax;
-        self.phases.exchange += (wall - cmax).max(0.0);
-        self.overlap = Some(ov);
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector. ---
-        let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
-        self.phases.fold += t0.elapsed().as_secs_f64();
-
-        self.steps += 1;
-    }
-
-    /// [`BspExecutor::overlap_step_into`] with telemetry recording folded
-    /// in — the overlap analogue of [`BspExecutor::traced_step_into`].
-    /// Spans are recorded manually rather than through `record_phase`
-    /// (which would bill a full barrier wait to each of the three passes
-    /// of the merged broadcast): each PE gets one Post, one Compute, one
-    /// Exchange span at its measured offsets, plus a single Barrier span
-    /// for the wall time past its own work. The drift monitor is fed
-    /// exchange time *minus* spin wait, which is the barrier schedule's
-    /// exchange-work equivalent — so a healthy overlapped run stays
-    /// drift-silent.
-    fn overlap_traced_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        let mut telem = self
-            .telemetry
-            .take()
-            .expect("traced step requires armed telemetry");
-        let mut ov = self
-            .overlap
-            .take()
-            .expect("overlap step requires overlap state");
-        let step = self.steps;
-        let p = self.pe.len();
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let epoch = telem.epoch;
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        telem.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-
-        // --- Overlapped compute+exchange: one broadcast, three passes,
-        // per-pass start offsets staged for manual span recording. ---
-        for (slot, buf) in ov.part_base.iter_mut().zip(self.partials.iter_mut()) {
-            *slot = SendPtr(buf.as_mut_ptr());
-        }
-        let wall = {
-            let pe = &self.pe;
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let post_elapsed = SendPtr(ov.post_elapsed.as_mut_ptr());
-            let exch_elapsed = SendPtr(ov.exch_elapsed.as_mut_ptr());
-            let wait_elapsed = SendPtr(ov.wait_elapsed.as_mut_ptr());
-            let post_start = SendPtr(ov.post_start.as_mut_ptr());
-            let exch_start = SendPtr(ov.exch_start.as_mut_ptr());
-            let boundary = &ov.boundary_rows;
-            let part_base = &ov.part_base;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let msg_ns = SendPtr(telem.msg_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Pass A — compute and post the boundary rows.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: same disjointness argument as the untraced
-                    // overlap path; the timing scratch is per-PE too.
-                    unsafe {
-                        *post_start.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let nb = boundary[q];
-                    let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].mult_range(xl, 0..nb, out);
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = out[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *post_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass B — interior rows, overlapping the neighbors' posts.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].stiffness.block_rows();
-                    let nb = boundary[q];
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
-                    };
-                    pe[q].mult_range(xl, nb..n, out);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass C — exchange as the posts land; per-message fetch
-                // latency (acquire wait included — that IS the latency the
-                // schedule is hiding) feeds the block histogram.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let mut waited = 0.0f64;
-                    unsafe {
-                        *exch_start.get().add(q) = ns_since(epoch, t);
-                    }
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe {
-                        std::slice::from_raw_parts(part_base[q].get() as *const Vec3, out.len())
-                    };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let lat = unsafe { &mut *msg_ns.get().add(q) };
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        lat[mi] = tm.elapsed().as_nanos() as u64;
-                    }
-                    unsafe {
-                        *exch_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait_elapsed.get().add(q) = waited;
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        let mut cmax = 0.0f64;
-        let mut post_max = 0.0f64;
-        let mut interior_max = 0.0f64;
-        for q in owned.clone() {
-            let c = &mut self.counters[q];
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            c.t_compute += post + interior;
-            c.t_exchange += exch;
-            c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
-            cmax = cmax.max(post + interior);
-            post_max = post_max.max(post);
-            interior_max = interior_max.max(interior);
-        }
-        self.phases.compute += cmax;
-        self.phases.exchange += (wall - cmax).max(0.0);
-        telem
-            .data
-            .add_phase_wall(PhaseId::Post, secs_to_ns(post_max));
-        telem
-            .data
-            .add_phase_wall(PhaseId::Compute, secs_to_ns(interior_max));
-        telem
-            .data
-            .add_phase_wall(PhaseId::Exchange, secs_to_ns((wall - cmax).max(0.0)));
-        for q in owned.clone() {
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            for (phase, start, dur) in [
-                (PhaseId::Post, ov.post_start[q], post),
-                (PhaseId::Compute, telem.start_ns[q], interior),
-                (PhaseId::Exchange, ov.exch_start[q], exch),
-            ] {
-                telem.data.span(Span {
-                    phase,
-                    pe: q as u32,
-                    step,
-                    start_ns: start,
-                    dur_ns: secs_to_ns(dur),
-                });
-            }
-            // Transport wait, nested at the tail of the exchange span: the
-            // acquire pass accumulates blocked time waiting on senders.
-            let waited = ov.wait_elapsed[q].clamp(0.0, exch);
-            if waited > 0.0 {
-                let waited_ns = secs_to_ns(waited);
-                telem.data.add_phase_wall(PhaseId::Wait, waited_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Wait,
-                    pe: q as u32,
-                    step,
-                    start_ns: ov.exch_start[q] + secs_to_ns(exch) - waited_ns,
-                    dur_ns: waited_ns,
-                });
-            }
-            let wait = (wall - (post + interior + exch)).max(0.0);
-            if wait > 0.0 {
-                let wait_ns = secs_to_ns(wait);
-                telem.data.add_phase_wall(PhaseId::Barrier, wait_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Barrier,
-                    pe: q as u32,
-                    step,
-                    start_ns: ov.exch_start[q] + secs_to_ns(exch),
-                    dur_ns: wait_ns,
-                });
-            }
-            telem.data.compute_ns.record(secs_to_ns(post + interior));
-        }
-        for q in owned.clone() {
-            for (mi, msg) in self.inbound[q].iter().enumerate() {
-                telem.data.block_latency_ns.record(telem.msg_ns[q][mi]);
-                telem.data.block_words.record(3 * msg.pairs.len() as u64);
-            }
-        }
-        self.record_node_exchange(&mut telem, step, Some(&ov.exch_start), &ov.exch_elapsed);
-        for q in owned.clone() {
-            ov.drift_scratch[q] = (ov.exch_elapsed[q] - ov.wait_elapsed[q]).max(0.0);
-        }
-        let flagged = telem
-            .data
-            .drift
-            .as_mut()
-            .and_then(|m| m.observe(step, &ov.drift_scratch[owned.clone()]));
-        if flagged.is_some() {
-            telem.data.instant(TraceInstant {
-                name: "drift:flagged",
-                pe: p as u32,
-                step,
-                at_ns: ns_since(epoch, Instant::now()),
-            });
-        }
-        self.overlap = Some(ov);
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector (driver). ---
-        let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        telem.data.span(Span {
-            phase: PhaseId::Fold,
-            pe: p as u32,
-            step,
-            start_ns: ns_since(epoch, t0),
-            dur_ns: secs_to_ns(fold_dt),
-        });
-        telem
-            .data
-            .add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
-        telem.data.steps += 1;
-
-        self.steps += 1;
-        self.telemetry = Some(telem);
-    }
-
-    /// The chaos-armed variant of [`BspExecutor::step_into`]: checkpoints on
-    /// schedule, executes the logical step, and on a crashed attempt
-    /// (Restart policy) respawns the dead workers, restores the last
-    /// checkpoint, and replays forward until the target step completes.
+    /// The chaos-armed step: checkpoints on schedule, executes the logical
+    /// step, and on a crashed attempt (Restart policy) respawns the dead
+    /// workers, restores the last checkpoint, and replays forward until the
+    /// target step completes.
     fn chaos_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
         let target = self.steps;
-        {
-            let fault = self
-                .fault
-                .as_deref_mut()
-                .expect("chaos step requires armed faults");
-            if target.is_multiple_of(fault.checkpoint_every) {
-                fault.checkpoint = Checkpoint {
-                    step: target,
-                    counters: self.counters.clone(),
-                    phases: self.phases,
-                };
-                fault.report.checkpoints += 1;
-            }
+        let fault = self
+            .fault
+            .as_deref_mut()
+            .expect("chaos step requires armed faults");
+        if target.is_multiple_of(fault.checkpoint_every) {
+            // `clone_from` reuses the snapshot's buffer, so checkpointing
+            // never allocates in the steady state.
+            fault.checkpoint.step = target;
+            fault.checkpoint.counters.clone_from(&self.counters);
+            fault.checkpoint.phases = self.phases;
+            fault.report.checkpoints += 1;
         }
         // Replay cursor: normally just `target`; after a restore it walks
         // back up from the checkpoint. Each replayed step re-runs clean
         // (its events are already consumed), so the loop always converges.
         let mut s = target;
         loop {
-            match self.chaos_execute_step(x, y, s) {
-                Ok(()) => {
-                    if s == target {
-                        break;
-                    }
-                    s += 1;
-                }
+            match self.execute_step(x, y, s) {
+                Ok(()) if s == target => break,
+                Ok(()) => s += 1,
                 Err(panicked) => {
                     let t_rec = Instant::now();
                     for &w in &panicked {
@@ -2205,7 +1590,7 @@ impl BspExecutor {
                     fault.report.recovered.crash += fault.pending_crashes;
                     fault.pending_crashes = 0;
                     fault.report.replayed_steps += s - fault.checkpoint.step;
-                    self.counters = fault.checkpoint.counters.clone();
+                    self.counters.clone_from(&fault.checkpoint.counters);
                     self.phases = fault.checkpoint.phases;
                     s = fault.checkpoint.step;
                     if let Some(t) = self.telemetry.as_deref_mut() {
@@ -2230,501 +1615,194 @@ impl BspExecutor {
                 }
             }
         }
-        // One logical step regardless of how many attempts it took.
-        self.steps += 1;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.data.steps += 1;
-        }
     }
 
-    /// Executes one step with fault events live. Returns `Err(panicked
-    /// worker indices)` only under [`RecoveryPolicy::Restart`] when a crash
-    /// event fired; every other fault (and every crash under `Degrade`) is
-    /// healed in here and the step completes with output bitwise-equal to
-    /// the fault-free path.
-    fn chaos_execute_step(
-        &mut self,
-        x: &[Vec3],
-        y: &mut [Vec3],
-        step: u64,
-    ) -> Result<(), Vec<usize>> {
-        let p = self.pe.len();
+    /// The step engine: one SMVP `y = Kx`, labelled `step`, through the
+    /// assemble → compute → exchange → fold phases on either schedule,
+    /// with the fault and telemetry hooks checked where the module docs
+    /// say. Returns `Err(panicked workers)` only under
+    /// [`RecoveryPolicy::Restart`] when an injected crash fired, before
+    /// anything was posted; the caller restores and replays. Every other
+    /// fault, and every crash under `Degrade`, heals in here, and the
+    /// output is bitwise-equal to the fault-free product.
+    fn execute_step(&mut self, x: &[Vec3], y: &mut [Vec3], step: u64) -> Result<(), Vec<usize>> {
         let threads = self.pool.threads();
         let owned = self.owned.clone();
-        // Taken out of `self` so telemetry recording can run while `fault`
-        // borrows its own field; restored on every exit path.
-        let mut telem = self.telemetry.take();
-        let fault = self
+        // Armed faults force the barrier schedule: a crash must be caught
+        // before anything is posted. The boundary-first row order stays
+        // baked into the matrices, so output and counters are unchanged.
+        let boundary = self
+            .boundary_rows
+            .as_deref()
+            .filter(|_| self.fault.is_none());
+        let scratch = self
             .fault
             .as_deref_mut()
-            .expect("chaos step requires armed faults");
-
-        // --- Assemble phase: identical to the clean path (no fault kind
-        // targets it). ---
-        let (wall, t0) = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            (t0.elapsed().as_secs_f64(), t0)
+            .map(|f| SendPtr(f.scratch.as_mut_ptr()));
+        let v = StepView {
+            step,
+            x,
+            pe: &self.pe,
+            inbound: &self.inbound,
+            outbound: &self.outbound,
+            link: &*self.link,
+            x_local: SendPtr(self.x_local.as_mut_ptr()),
+            partials: SendPtr(self.partials.as_mut_ptr()),
+            exchanged: SendPtr(self.exchanged.as_mut_ptr()),
+            pack: SendPtr(self.pack.as_mut_ptr()),
+            stage: SendPtr(self.stage.as_mut_ptr()),
+            clock: SendPtr(self.clock.as_mut_ptr()),
+            fault: self
+                .fault
+                .as_deref()
+                .zip(scratch)
+                .map(|(f, scratch)| FaultHook {
+                    plan: &f.plan,
+                    fired: &f.fired,
+                    scratch,
+                }),
+            msg_ns: self
+                .telemetry
+                .as_deref_mut()
+                .map(|t| SendPtr(t.msg_ns.as_mut_ptr())),
         };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            // Chaos-path spans share the phase start (per-PE starts would
-            // need scratch in every closure; the phase-aligned view is what
-            // the trace needs to show recovery structure).
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-        }
+        let chunk = |w: usize| owned_chunk(&owned, threads, w);
 
-        // --- Compute phase: local SMVP, with Crash and Straggle events
-        // live. Crash is checked first so a consumed straggle always has a
-        // written elapsed slot behind it. ---
-        let mut restart_failed: Option<Vec<usize>> = None;
-        let (wall, t0, degraded) = {
-            let pe = &self.pe;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let plan = &fault.plan;
-            let fired = &fault.fired;
-            let scratch = SendPtr(fault.scratch.as_mut_ptr());
-            let owned_c = owned.clone();
-            let compute = move |w: usize| {
-                for q in owned_chunk(&owned_c, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); the scratch slot likewise.
-                    let sc = unsafe { &mut *scratch.get().add(q) };
-                    for e in plan.at(step, q) {
-                        if let FaultKind::Crash = plan.events()[e].kind {
-                            if !fired[e].swap(true, Ordering::Relaxed) {
-                                sc.crashes += 1;
-                                panic!("injected fault: PE {q} crash at step {step}");
-                            }
-                        }
-                    }
-                    for e in plan.at(step, q) {
-                        if let FaultKind::Straggle { delay_us } = plan.events()[e].kind {
-                            if !fired[e].swap(true, Ordering::Relaxed) {
-                                let delay = Duration::from_micros(u64::from(delay_us));
-                                sc.straggles += 1;
-                                sc.straggle_delay_s += delay.as_secs_f64();
-                                std::thread::sleep(delay);
-                            }
-                        }
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            };
-            let t0 = Instant::now();
-            let mut degraded = 0u64;
-            if let Err(failure) = self.pool.try_broadcast(&compute) {
-                match fault.policy {
-                    RecoveryPolicy::FailFast => failure.resume(),
-                    RecoveryPolicy::Degrade => {
-                        // Re-execute each dead shard inline on this thread.
-                        // spmv fully overwrites its output, so the re-run is
-                        // bitwise-identical to what the worker would have
-                        // produced; remaining one-shot events may fire (and
-                        // panic) again, hence the loop.
-                        for &w in &failure.panicked {
-                            // Each attempt overwrites the chunk's phase
-                            // clocks, and a straggle's sleep only shows in
-                            // the attempt where it fired (events are
-                            // one-shot). Track the per-PE max across
-                            // attempts so the observational evidence of a
-                            // straggle survives the clean re-run.
-                            let chunk = owned_chunk(&owned, threads, w);
-                            let mut best: Vec<f64> =
-                                chunk.clone().map(|q| self.elapsed[q]).collect();
-                            loop {
-                                degraded += 1;
-                                let done = catch_unwind(AssertUnwindSafe(|| compute(w))).is_ok();
-                                for (slot, q) in best.iter_mut().zip(chunk.clone()) {
-                                    *slot = slot.max(self.elapsed[q]);
-                                }
-                                if done {
-                                    break;
-                                }
-                            }
-                            for (&b, q) in best.iter().zip(chunk) {
-                                // Restore only where a straggle fired: that
-                                // PE really did spend the slept time.
-                                if fault.scratch[q].straggle_delay_s > 0.0 {
-                                    self.elapsed[q] = self.elapsed[q].max(b);
-                                }
-                            }
-                        }
-                    }
-                    RecoveryPolicy::Restart => restart_failed = Some(failure.panicked),
+        // --- Assemble: gather each PE's replicated local x. ---
+        let t0 = Instant::now();
+        self.pool.broadcast(&|w| {
+            for q in chunk(w) {
+                let t = Instant::now();
+                // SAFETY: q is in worker w's chunk, so its slots are this
+                // worker's alone while the broadcast runs.
+                unsafe {
+                    v.gather(q);
+                    v.clock(q, |c| c.assemble = Lap::since(t));
                 }
             }
-            (t0.elapsed().as_secs_f64(), t0, degraded)
-        };
-        fault.report.degraded_shards += degraded;
-        let mut crashes = 0u64;
-        for (q, slot) in fault.scratch.iter_mut().enumerate() {
-            let sc = std::mem::take(slot);
-            if sc.straggles > 0 {
-                fault.report.injected.straggle += sc.straggles;
-                // Detection is observational: the phase clock for this PE
-                // must actually show the injected delay.
-                if self.elapsed[q] >= sc.straggle_delay_s * 0.999 {
-                    fault.report.detected.straggle += sc.straggles;
-                    // The barrier absorbs the delay; nothing else to heal.
-                    fault.report.recovered.straggle += sc.straggles;
-                }
-            }
-            crashes += sc.crashes;
-            if let Some(t) = telem.as_deref_mut() {
-                let at_ns = ns_since(t.epoch, Instant::now());
-                for _ in 0..sc.straggles {
-                    t.data.instant(TraceInstant {
-                        name: "fault:straggle",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-                for _ in 0..sc.crashes {
-                    t.data.instant(TraceInstant {
-                        name: "fault:crash",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-            }
-        }
-        if crashes > 0 {
-            fault.report.injected.crash += crashes;
-            // Detection = the supervisor caught the panic.
-            fault.report.detected.crash += crashes;
-            match fault.policy {
-                RecoveryPolicy::Degrade => fault.report.recovered.crash += crashes,
-                // Credited as recovered once the restart actually restores.
-                RecoveryPolicy::Restart => fault.pending_crashes += crashes,
-                RecoveryPolicy::FailFast => {}
-            }
-        }
-        if let Some(panicked) = restart_failed {
-            self.telemetry = telem;
-            return Err(panicked);
-        }
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Compute, step, &self.elapsed, wall, owned.clone());
-            for q in owned.clone() {
-                t.data.compute_ns.record(secs_to_ns(self.elapsed[q]));
-            }
-        }
+        });
+        let assemble = t0.elapsed().as_secs_f64();
 
-        // --- Exchange phase: outbound blocks are posted through the
-        // transport, and every inbound block is fetched through the staging
-        // buffer with Drop and Corrupt events live. The transport carries
-        // the sender-side checksum; the receiver re-verifies after the wire
-        // (where corruption is injected) and re-fetches on mismatch. ---
-        let msg_lat = telem.as_deref_mut().map(|t| SendPtr(t.msg_ns.as_mut_ptr()));
-        let (wall, t0) = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = Arc::clone(&self.link);
-            let owned_c = owned.clone();
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let plan = &fault.plan;
-            let fired = &fault.fired;
-            let scratch = SendPtr(fault.scratch.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let wait = SendPtr(self.wait_scratch.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&move |w| {
-                // Post pass — publishing is not a fault target: drops and
-                // corruption are injected on the *receive* side of the
-                // modeled wire, so the posted blocks are always clean.
-                for q in owned_chunk(&owned_c, threads, w) {
-                    // SAFETY: pack[q]/partials[q] belong to this worker
-                    // alone (one worker per PE).
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                }
-                for q in owned_chunk(&owned_c, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q], scratch[q], stage[q] (and,
-                    // when telemetry is armed, this PE's latency scratch)
-                    // are written (one worker per PE).
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let sc = unsafe { &mut *scratch.get().add(q) };
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let mut waited = 0.0f64;
-                    let n_msgs = inbound[q].len();
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let mut attempt: u32 = 0;
-                        // Deterministic decorrelated jitter for re-fetch
-                        // retries, seeded per (step, PE, message) so a
-                        // replayed step sleeps the identical schedule.
-                        let mut retry = RetryBackoff::new(mix64(
-                            step ^ ((q as u64) << 40) ^ ((mi as u64) << 20),
-                        ));
-                        loop {
-                            attempt += 1;
-                            assert!(
-                                attempt <= MAX_FETCH_ATTEMPTS,
-                                "PE {q} message {mi}: fetch failed after \
-                                 {MAX_FETCH_ATTEMPTS} attempts"
-                            );
-                            // The network eats this attempt if an unfired
-                            // Drop event charged to message `mi` exists (the
-                            // j-th Drop on PE q targets message j mod n).
-                            let mut dropped = false;
-                            let mut dcount = 0usize;
-                            for e in plan.at(step, q) {
-                                if let FaultKind::Drop = plan.events()[e].kind {
-                                    let victim = dcount % n_msgs;
-                                    dcount += 1;
-                                    if victim == mi && !fired[e].swap(true, Ordering::Relaxed) {
-                                        dropped = true;
-                                        break;
-                                    }
-                                }
+        let mut degraded = 0u64;
+        let walls = match boundary {
+            None => {
+                // --- Compute: local SMVP per PE, with crash and straggle
+                // events live. ---
+                let compute = |w: usize| {
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            if let Some(f) = &v.fault {
+                                f.strike(step, q);
                             }
-                            if dropped {
-                                sc.drops += 1;
-                                // Detection: the fetch visibly failed.
-                                sc.drops_detected += 1;
-                                sc.retries += 1;
-                                // Bounded decorrelated-jitter backoff
-                                // before retry.
-                                let backoff = retry.next_delay();
-                                sc.backoff_ns += backoff.as_nanos() as u64;
-                                std::thread::sleep(backoff);
-                                continue;
-                            }
-                            // Fetch: stage the block through the transport,
-                            // which carries the sender-side checksum (a
-                            // re-fetch acquires the same posted step again).
-                            let ts = Instant::now();
-                            let info = link
-                                .acquire(step, msg.neighbor, q, block)
-                                .expect("transport acquire");
-                            waited += info.waited_s;
-                            let sent = info.checksum;
-                            sc.stage_ns += ts.elapsed().as_nanos() as u64;
-                            // In-flight corruption: flip one bit of one
-                            // staged ghost word, chosen by the event's salt.
-                            for e in plan.at(step, q) {
-                                if let FaultKind::Corrupt { salt } = plan.events()[e].kind {
-                                    if (salt as usize) % n_msgs == mi
-                                        && !fired[e].swap(true, Ordering::Relaxed)
-                                    {
-                                        let words = 3 * msg.pairs.len();
-                                        let wi = ((salt >> 8) as usize) % words;
-                                        let bit = ((salt >> 32) % 64) as u32;
-                                        let v = &mut block[wi / 3];
-                                        let c = match wi % 3 {
-                                            0 => &mut v.x,
-                                            1 => &mut v.y,
-                                            _ => &mut v.z,
-                                        };
-                                        *c = f64::from_bits(c.to_bits() ^ (1u64 << bit));
-                                        sc.corrupts += 1;
-                                        break;
-                                    }
-                                }
-                            }
-                            // Receiver-side verification; a mismatch forces
-                            // a clean re-fetch of the whole block.
-                            let tv = Instant::now();
-                            let verified = link.verify(block, sent);
-                            sc.verify_ns += tv.elapsed().as_nanos() as u64;
-                            if !verified {
-                                sc.corrupts_detected += 1;
-                                sc.refetches += 1;
-                                continue;
-                            }
-                            break;
-                        }
-                        // Apply the verified block in clean-path pair order,
-                        // so the sums are bitwise-identical to fault-free.
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        if let Some(lp) = msg_lat {
-                            // SAFETY: latency slot [q][mi] is only touched
-                            // by this PE's worker this phase.
-                            unsafe {
-                                let lat = &mut *lp.get().add(q);
-                                lat[mi] = tm.elapsed().as_nanos() as u64;
-                            }
+                            v.compute(q, 0..v.pe[q].stiffness.block_rows());
+                            v.clock(q, |c| c.compute = Lap::since(t));
                         }
                     }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait.get().add(q) = waited;
+                };
+                let t0 = Instant::now();
+                if let Err(failure) = self.pool.try_broadcast(&compute) {
+                    match self.fault.as_deref().map(|f| f.policy) {
+                        Some(RecoveryPolicy::Restart) => {
+                            self.tally_faults(step, 0);
+                            return Err(failure.panicked);
+                        }
+                        Some(RecoveryPolicy::Degrade) => {
+                            for &w in &failure.panicked {
+                                // SAFETY: the batch has drained, so the
+                                // driver owns every PE.
+                                degraded += unsafe { v.degrade(chunk(w), || compute(w)) };
+                            }
+                        }
+                        Some(RecoveryPolicy::FailFast) | None => failure.resume(),
                     }
                 }
-            });
-            (t0.elapsed().as_secs_f64(), t0)
-        };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Exchange, step, &self.elapsed, wall, owned.clone());
-            for q in owned.clone() {
-                for (mi, msg) in self.inbound[q].iter().enumerate() {
-                    t.data.block_latency_ns.record(t.msg_ns[q][mi]);
-                    t.data.block_words.record(3 * msg.pairs.len() as u64);
-                }
-            }
-        }
-        for (q, slot) in fault.scratch.iter_mut().enumerate() {
-            let sc = std::mem::take(slot);
-            fault.report.injected.drop += sc.drops;
-            fault.report.detected.drop += sc.drops_detected;
-            // The step completed, so every detected drop/corruption was
-            // healed by its retry/re-fetch.
-            fault.report.recovered.drop += sc.drops_detected;
-            fault.report.retries += sc.retries;
-            fault.report.injected.corrupt += sc.corrupts;
-            fault.report.detected.corrupt += sc.corrupts_detected;
-            fault.report.recovered.corrupt += sc.corrupts_detected;
-            fault.report.refetches += sc.refetches;
-            if let Some(t) = telem.as_deref_mut() {
-                let phase_start = ns_since(t.epoch, t0);
-                // Aggregate staging/verification work as spans nested inside
-                // this PE's exchange span.
-                if sc.stage_ns > 0 {
-                    t.data.add_phase_wall(PhaseId::Stage, sc.stage_ns);
-                    t.data.span(Span {
-                        phase: PhaseId::Stage,
-                        pe: q as u32,
-                        step,
-                        start_ns: phase_start,
-                        dur_ns: sc.stage_ns,
-                    });
-                }
-                if sc.verify_ns > 0 {
-                    t.data.add_phase_wall(PhaseId::Verify, sc.verify_ns);
-                    t.data.span(Span {
-                        phase: PhaseId::Verify,
-                        pe: q as u32,
-                        step,
-                        start_ns: phase_start + sc.stage_ns,
-                        dur_ns: sc.verify_ns,
-                    });
-                }
-                // Only the total backoff survives the hot path; record the
-                // mean once per retry.
-                if let Some(mean_ns) = sc.backoff_ns.checked_div(sc.retries) {
-                    t.data.retry_ns.record_n(mean_ns, sc.retries);
-                }
-                let at_ns = ns_since(t.epoch, Instant::now());
-                for _ in 0..sc.drops {
-                    t.data.instant(TraceInstant {
-                        name: "fault:drop",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-                for _ in 0..sc.corrupts {
-                    t.data.instant(TraceInstant {
-                        name: "fault:corrupt",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-            }
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            self.record_node_exchange(t, step, None, &self.elapsed);
-            // Same convention as the clean traced paths: drift sees the
-            // exchange work net of transport waits.
-            for q in owned.clone() {
-                self.wait_scratch[q] = (self.elapsed[q] - self.wait_scratch[q]).max(0.0);
-            }
-            let flagged = t
-                .data
-                .drift
-                .as_mut()
-                .and_then(|m| m.observe(step, &self.wait_scratch[owned.clone()]));
-            if flagged.is_some() {
-                t.data.instant(TraceInstant {
-                    name: "drift:flagged",
-                    pe: p as u32,
-                    step,
-                    at_ns: ns_since(t.epoch, Instant::now()),
+                let compute = t0.elapsed().as_secs_f64();
+
+                // --- Exchange: each worker posts ALL its PEs' blocks
+                // before fetching ANY, which keeps the schedule
+                // deadlock-free however PEs are striped across workers and
+                // shards. ---
+                let t0 = Instant::now();
+                self.pool.broadcast(&|w| {
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            v.post(q);
+                            v.clock(q, |c| c.exchange = Lap::since(t));
+                        }
+                    }
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            let waited = v.fetch_apply(q);
+                            v.clock(q, |c| {
+                                c.exchange.secs += t.elapsed().as_secs_f64();
+                                c.waited = waited;
+                            });
+                        }
+                    }
                 });
+                Walls::Barrier {
+                    compute,
+                    exchange: t0.elapsed().as_secs_f64(),
+                }
             }
-        }
+            Some(nb) => {
+                // --- Compute and exchange in ONE broadcast, no barrier
+                // between the passes. ---
+                let t0 = Instant::now();
+                self.pool.broadcast(&|w| {
+                    // Pass A — compute and post the boundary rows (every
+                    // posted slot is below nb, checked at build).
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            v.compute(q, 0..nb[q]);
+                            v.post(q);
+                            v.clock(q, |c| c.post = Lap::since(t));
+                        }
+                    }
+                    // Pass B — interior rows, overlapping the neighbors'
+                    // posts.
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            v.compute(q, nb[q]..v.pe[q].stiffness.block_rows());
+                            v.clock(q, |c| c.compute = Lap::since(t));
+                        }
+                    }
+                    // Pass C — fetch and apply as the posts land.
+                    for q in chunk(w) {
+                        let t = Instant::now();
+                        // SAFETY: q is in worker w's chunk.
+                        unsafe {
+                            let waited = v.fetch_apply(q);
+                            v.clock(q, |c| {
+                                c.exchange = Lap::since(t);
+                                c.waited = waited;
+                            });
+                        }
+                    }
+                });
+                Walls::Overlap {
+                    merged: t0.elapsed().as_secs_f64(),
+                }
+            }
+        };
+        self.tally_faults(step, degraded);
+        self.tally(assemble, walls);
         self.link.barrier(step).expect("transport barrier");
 
-        // --- Fold phase: identical to the clean path. ---
+        // --- Fold: replicated results → global vector, on the driver. ---
         let t0 = Instant::now();
         self.written.fill(false);
-        for q in owned.clone() {
+        for q in owned {
             let (s, part) = (&self.pe[q], &self.exchanged[q]);
             for (l, &g) in s.gather.iter().enumerate() {
                 if self.written[g] {
@@ -2742,20 +1820,256 @@ impl BspExecutor {
             self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
             "every node resides somewhere"
         );
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        if let Some(t) = telem.as_deref_mut() {
-            t.data.span(Span {
-                phase: PhaseId::Fold,
-                pe: p as u32,
-                step,
-                start_ns: ns_since(t.epoch, t0),
-                dur_ns: secs_to_ns(fold_dt),
-            });
-            t.data.add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
+        let fold = Lap::since(t0);
+        self.phases.fold += fold.secs;
+
+        if let Some(mut t) = self.telemetry.take() {
+            self.record_step(&mut t, step, assemble, walls, fold);
+            self.telemetry = Some(t);
         }
-        self.telemetry = telem;
         Ok(())
+    }
+
+    /// The counter tally of one completed step: per-PE phase seconds and
+    /// barrier idle time, the flops, words and blocks that must match
+    /// `CommAnalysis` exactly, and the report's phase walls.
+    fn tally(&mut self, assemble: f64, walls: Walls) {
+        self.phases.assemble += assemble;
+        let mut busiest = 0.0f64;
+        for q in self.owned.clone() {
+            let k = self.clock[q];
+            let c = &mut self.counters[q];
+            c.t_assemble += k.assemble.secs;
+            c.t_barrier += (assemble - k.assemble.secs).max(0.0);
+            c.t_exchange += k.exchange.secs;
+            match walls {
+                Walls::Barrier { compute, exchange } => {
+                    c.t_compute += k.compute.secs;
+                    c.t_barrier +=
+                        (compute - k.compute.secs).max(0.0) + (exchange - k.exchange.secs).max(0.0);
+                }
+                Walls::Overlap { merged } => {
+                    let busy = k.post.secs + k.compute.secs;
+                    c.t_compute += busy;
+                    c.t_barrier += (merged - (busy + k.exchange.secs)).max(0.0);
+                    busiest = busiest.max(busy);
+                }
+            }
+            // 18 flops per traversed 3×3 block: the paper's F_i = 2·m_i
+            // counted from the matrix this step just multiplied.
+            c.flops += self.pe[q].stiffness.smvp_flops();
+            for msg in &self.inbound[q] {
+                let words = 3 * msg.pairs.len() as u64;
+                // Each inbound message is matched by an equal outbound one
+                // (the exchange is symmetric), so count both directions.
+                c.words_received += words;
+                c.words_sent += words;
+                c.blocks_received += 1;
+                c.blocks_sent += 1;
+            }
+        }
+        match walls {
+            Walls::Barrier { compute, exchange } => {
+                self.phases.compute += compute;
+                self.phases.exchange += exchange;
+            }
+            Walls::Overlap { merged } => {
+                // The slowest PE's SMVP bills to compute; whatever wall
+                // remains past it is exchange the interior work failed to
+                // hide.
+                self.phases.compute += busiest;
+                self.phases.exchange += (merged - busiest).max(0.0);
+            }
+        }
+    }
+
+    /// Folds one attempt's per-PE chaos scratch into the fault ledger and,
+    /// when traced, into fault instants, the retry histogram, and Stage and
+    /// Verify spans nested at the head of each PE's exchange span. Runs
+    /// after every attempt, completed or crashed; a no-op while disarmed.
+    fn tally_faults(&mut self, step: u64, degraded: u64) {
+        let Some(fault) = self.fault.as_deref_mut() else {
+            return;
+        };
+        let mut telem = self.telemetry.as_deref_mut();
+        let r = &mut fault.report;
+        r.degraded_shards += degraded;
+        let mut crashes = 0u64;
+        for (q, slot) in fault.scratch.iter_mut().enumerate() {
+            let sc = std::mem::take(slot);
+            if sc.straggles > 0 {
+                r.injected.straggle += sc.straggles;
+                // Detection is observational: the PE's compute lap must
+                // actually show the injected delay. The barrier absorbs
+                // the delay; nothing else to heal.
+                if self.clock[q].compute.secs >= sc.straggle_delay_s * 0.999 {
+                    r.detected.straggle += sc.straggles;
+                    r.recovered.straggle += sc.straggles;
+                }
+            }
+            crashes += sc.crashes;
+            // Every detected drop or corruption was healed by its retry or
+            // re-fetch: a fetch returns only once its block verified.
+            r.injected.drop += sc.drops;
+            r.detected.drop += sc.drops_detected;
+            r.recovered.drop += sc.drops_detected;
+            r.retries += sc.retries;
+            r.injected.corrupt += sc.corrupts;
+            r.detected.corrupt += sc.corrupts_detected;
+            r.recovered.corrupt += sc.corrupts_detected;
+            r.refetches += sc.refetches;
+            let Some(t) = telem.as_deref_mut() else {
+                continue;
+            };
+            let exchange_ns = ns_since(t.epoch, self.clock[q].exchange.start);
+            for (phase, start_ns, dur_ns) in [
+                (PhaseId::Stage, exchange_ns, sc.stage_ns),
+                (PhaseId::Verify, exchange_ns + sc.stage_ns, sc.verify_ns),
+            ] {
+                if dur_ns > 0 {
+                    t.data.add_phase_wall(phase, dur_ns);
+                    t.data.span(Span {
+                        phase,
+                        pe: q as u32,
+                        step,
+                        start_ns,
+                        dur_ns,
+                    });
+                }
+            }
+            // Only the total backoff survives the hot path; record the
+            // mean once per retry.
+            if let Some(mean_ns) = sc.backoff_ns.checked_div(sc.retries) {
+                t.data.retry_ns.record_n(mean_ns, sc.retries);
+            }
+            let at_ns = ns_since(t.epoch, Instant::now());
+            for (name, n) in [
+                ("fault:straggle", sc.straggles),
+                ("fault:crash", sc.crashes),
+                ("fault:drop", sc.drops),
+                ("fault:corrupt", sc.corrupts),
+            ] {
+                for _ in 0..n {
+                    t.data.instant(TraceInstant {
+                        name,
+                        pe: q as u32,
+                        step,
+                        at_ns,
+                    });
+                }
+            }
+        }
+        if crashes > 0 {
+            r.injected.crash += crashes;
+            // Detection = the supervisor caught the panic.
+            r.detected.crash += crashes;
+            match fault.policy {
+                RecoveryPolicy::Degrade => r.recovered.crash += crashes,
+                // Credited as recovered once the restart actually restores.
+                RecoveryPolicy::Restart => fault.pending_crashes += crashes,
+                RecoveryPolicy::FailFast => {}
+            }
+        }
+    }
+
+    /// The telemetry block of one completed step: each owned PE's work
+    /// spans from its laps, a Barrier span wherever it idled before a
+    /// broadcast ended, the transport Wait nested at the tail of its
+    /// exchange span, the compute and block histograms, node attribution,
+    /// the drift feed, and the driver's Fold span.
+    fn record_step(
+        &mut self,
+        t: &mut TelemetryState,
+        step: u64,
+        assemble: f64,
+        walls: Walls,
+        fold: Lap,
+    ) {
+        let driver = self.pe.len();
+        t.data
+            .add_phase_wall(PhaseId::Assemble, secs_to_ns(assemble));
+        // Overlap phase walls: the slowest PE's pass A, pass B, and A + B.
+        let (mut post_max, mut interior_max, mut busiest) = (0.0f64, 0.0f64, 0.0f64);
+        for q in self.owned.clone() {
+            let k = self.clock[q];
+            let end = t.span(PhaseId::Assemble, q, step, k.assemble);
+            t.idle(q, step, end, assemble - k.assemble.secs);
+            let busy = match walls {
+                Walls::Barrier { compute, exchange } => {
+                    let end = t.span(PhaseId::Compute, q, step, k.compute);
+                    t.idle(q, step, end, compute - k.compute.secs);
+                    let end = t.span(PhaseId::Exchange, q, step, k.exchange);
+                    t.idle(q, step, end, exchange - k.exchange.secs);
+                    k.compute.secs
+                }
+                Walls::Overlap { merged } => {
+                    let busy = k.post.secs + k.compute.secs;
+                    t.span(PhaseId::Post, q, step, k.post);
+                    t.span(PhaseId::Compute, q, step, k.compute);
+                    let end = t.span(PhaseId::Exchange, q, step, k.exchange);
+                    t.idle(q, step, end, merged - (busy + k.exchange.secs));
+                    post_max = post_max.max(k.post.secs);
+                    interior_max = interior_max.max(k.compute.secs);
+                    busiest = busiest.max(busy);
+                    busy
+                }
+            };
+            t.data.compute_ns.record(secs_to_ns(busy));
+            // Transport wait, nested at the tail of the exchange span: the
+            // profiler splits the exchange into apply (this PE's work) and
+            // wait (blocked in `acquire` on the sender's progress).
+            let waited = k.waited.clamp(0.0, k.exchange.secs);
+            if waited > 0.0 {
+                let wait_ns = secs_to_ns(waited);
+                let end_ns = ns_since(t.epoch, k.exchange.start) + secs_to_ns(k.exchange.secs);
+                t.data.add_phase_wall(PhaseId::Wait, wait_ns);
+                t.data.span(Span {
+                    phase: PhaseId::Wait,
+                    pe: q as u32,
+                    step,
+                    start_ns: end_ns - wait_ns,
+                    dur_ns: wait_ns,
+                });
+            }
+            for (mi, msg) in self.inbound[q].iter().enumerate() {
+                t.data.block_latency_ns.record(t.msg_ns[q][mi]);
+                t.data.block_words.record(3 * msg.pairs.len() as u64);
+            }
+            // The drift feed is exchange time minus transport wait:
+            // blocking in `acquire` tracks the *sender's* progress, not
+            // this PE's load, so leaving it in would flag healthy runs.
+            self.drift_feed[q] = (k.exchange.secs - k.waited).max(0.0);
+        }
+        match walls {
+            Walls::Barrier { compute, exchange } => {
+                t.data.add_phase_wall(PhaseId::Compute, secs_to_ns(compute));
+                t.data
+                    .add_phase_wall(PhaseId::Exchange, secs_to_ns(exchange));
+            }
+            Walls::Overlap { merged } => {
+                t.data.add_phase_wall(PhaseId::Post, secs_to_ns(post_max));
+                t.data
+                    .add_phase_wall(PhaseId::Compute, secs_to_ns(interior_max));
+                t.data
+                    .add_phase_wall(PhaseId::Exchange, secs_to_ns((merged - busiest).max(0.0)));
+            }
+        }
+        self.record_node_exchange(t, step);
+        let flagged = t
+            .data
+            .drift
+            .as_mut()
+            .and_then(|m| m.observe(step, &self.drift_feed[self.owned.clone()]));
+        if flagged.is_some() {
+            t.data.instant(TraceInstant {
+                name: "drift:flagged",
+                pe: driver as u32,
+                step,
+                at_ns: ns_since(t.epoch, Instant::now()),
+            });
+        }
+        t.span(PhaseId::Fold, driver, step, fold);
+        t.data.add_phase_wall(PhaseId::Fold, secs_to_ns(fold.secs));
     }
 
     /// Executes one bulk-synchronous SMVP `y = Kx`, allocating the result.
@@ -2870,26 +2184,35 @@ mod tests {
     fn steady_state_steps_do_not_reallocate() {
         let (mesh, _, sys) = setup(4);
         let x = random_x(mesh.node_count(), 17);
-        let mut exec = BspExecutor::new(&sys, 2);
-        let mut y = vec![Vec3::ZERO; mesh.node_count()];
-        // Warmup step, then the buffers must be pinned.
-        exec.step_into(&x, &mut y);
-        let fp = exec.buffer_fingerprint();
-        let y_fp = (y.as_ptr() as usize, y.capacity());
-        for _ in 0..100 {
+        let plain = BspExecutor::new(&sys, 2);
+        let mut traced = BspExecutor::new(&sys, 2);
+        traced.enable_telemetry(TelemetryConfig::default());
+        // Checkpointing every step exercises the snapshot on every step.
+        let mut chaos = BspExecutor::new(&sys, 2);
+        chaos.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 1);
+        for (what, mut exec) in [("plain", plain), ("traced", traced), ("chaos", chaos)] {
+            let mut y = vec![Vec3::ZERO; mesh.node_count()];
+            // Warmup step, then the buffers must be pinned. Checked after
+            // every step: a buffer that alternates between two
+            // allocations would match again after an even count.
             exec.step_into(&x, &mut y);
+            let fp = exec.buffer_fingerprint();
+            let y_fp = (y.as_ptr() as usize, y.capacity());
+            for _ in 0..100 {
+                exec.step_into(&x, &mut y);
+                assert_eq!(
+                    exec.buffer_fingerprint(),
+                    fp,
+                    "{what}: executor buffers moved or regrew during steady-state steps"
+                );
+            }
+            assert_eq!(
+                (y.as_ptr() as usize, y.capacity()),
+                y_fp,
+                "{what}: output buffer moved during steady-state steps"
+            );
+            assert_eq!(exec.report().steps, 101);
         }
-        assert_eq!(
-            exec.buffer_fingerprint(),
-            fp,
-            "executor buffers moved or regrew during steady-state steps"
-        );
-        assert_eq!(
-            (y.as_ptr() as usize, y.capacity()),
-            y_fp,
-            "output buffer moved during steady-state steps"
-        );
-        assert_eq!(exec.report().steps, 101);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! each proptest case varies only the cheap knobs (fault seed, thread
 //! count, policy, checkpoint interval), so failures replay from the
 //! printed inputs alone.
+//!
+//! One fixed case rides along: a straggle and a crash on the same worker
+//! chunk in the same step under `Degrade`.
 
 use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
@@ -165,4 +168,36 @@ proptest! {
             fx.predicted
         );
     }
+}
+
+/// A straggle survives the `Degrade` re-run of its chunk, and the ledger
+/// balances. With one worker thread every PE shares one chunk, so when PE 1
+/// crashes in the step where PE 0 straggled, the inline re-run recomputes
+/// PE 0 without the (one-shot) delay; the straggle must still be detected
+/// from the attempt where it fired, and the output must still be the
+/// fault-free product.
+#[test]
+fn degrade_straggle_before_crash_same_chunk_stays_balanced() {
+    let fx = fixture();
+    let plan = FaultPlan::from_events(vec![
+        FaultEvent {
+            step: 0,
+            pe: 0,
+            kind: FaultKind::Straggle { delay_us: 300 },
+        },
+        FaultEvent {
+            step: 0,
+            pe: 1,
+            kind: FaultKind::Crash,
+        },
+    ]);
+    let mut exec = BspExecutor::new(&fx.system, 1);
+    exec.enable_faults(plan, RecoveryPolicy::Degrade, 4);
+    let y = exec.run(&fx.x, 2);
+    assert!(bitwise_eq(&fx.reference, &y), "degraded run diverged");
+    let fr = exec.fault_report().expect("armed executor reports faults");
+    assert!(fr.balanced(), "ledger unbalanced: {fr}");
+    assert_eq!(fr.detected.straggle, 1, "straggle lost in the re-run: {fr}");
+    assert_eq!(fr.injected.crash, 1);
+    assert!(fr.degraded_shards >= 1, "the chunk was re-run inline");
 }

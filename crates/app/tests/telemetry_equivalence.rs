@@ -163,6 +163,68 @@ fn traced_runs_are_bitwise_equal_across_thread_counts_and_orderings() {
     }
 }
 
+/// Arming an empty fault plan runs the same step engine, so it changes no
+/// span: a traced empty-plan chaos run records the same (phase, PE, step)
+/// multiset of assemble, compute, exchange and fold spans as the traced
+/// clean run. Span starts are per PE on both: with one worker the PEs run
+/// in order, so within a step each PE's compute starts after the last.
+#[test]
+fn empty_plan_chaos_traces_the_same_spans_as_the_clean_run() {
+    let fx = fixture();
+    let core = |exec: &BspExecutor| {
+        let t = exec.telemetry().expect("telemetry armed");
+        let mut spans: Vec<(&str, u32, u64)> = t
+            .spans
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s.phase,
+                    PhaseId::Assemble | PhaseId::Compute | PhaseId::Exchange | PhaseId::Fold
+                )
+            })
+            .map(|s| (s.phase.name(), s.pe, s.step))
+            .collect();
+        spans.sort_unstable();
+        spans
+    };
+    for threads in [1, 3] {
+        let mut clean = traced_executor(fx, threads, false);
+        let mut chaos = traced_executor(fx, threads, false);
+        chaos.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 2);
+        let y_clean = clean.run(&fx.x, STEPS);
+        let y_chaos = chaos.run(&fx.x, STEPS);
+        assert!(
+            bitwise_eq(&y_clean, &y_chaos),
+            "{threads} threads: outputs differ"
+        );
+        let spans = core(&clean);
+        assert_eq!(spans.len() as u64, STEPS * (3 * PARTS as u64 + 1));
+        assert_eq!(
+            spans,
+            core(&chaos),
+            "{threads} threads: span multisets differ"
+        );
+        if threads == 1 {
+            for exec in [&clean, &chaos] {
+                let t = exec.telemetry().expect("telemetry armed");
+                for step in 0..STEPS {
+                    let starts: Vec<u64> = t
+                        .spans
+                        .iter()
+                        .filter(|s| s.phase == PhaseId::Compute && s.step == step)
+                        .map(|s| s.start_ns)
+                        .collect();
+                    assert_eq!(starts.len(), PARTS);
+                    assert!(
+                        starts.windows(2).all(|w| w[0] < w[1]),
+                        "step {step}: compute spans share a start: {starts:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -8,7 +8,7 @@
 //! (summing neighbor partials, the bandwidth term), and every step names
 //! the PE on its critical path.
 //!
-//! Attribution is exact by construction: the executor's traced paths record
+//! Attribution is exact by construction: the executor's traced steps record
 //! one top-level span per phase per PE per step, and the per-PE span total
 //! *is* the measured step wall for that PE (the `barrier` span is the wall
 //! residual). The step wall is the maximum per-PE total, the row shown is

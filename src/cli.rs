@@ -218,8 +218,8 @@ COMMANDS:
                   unaffected; composes with --rcm, --trace and --fault-rate
                   --fault-rate <r: 0>  arm the chaos layer: per-(step, PE)
                   probability of injected stragglers/drops/corruption (PE
-                  crashes at r/10, at most one); 0 leaves the clean path
-                  untouched
+                  crashes at r/10, at most one); 0 leaves it unarmed
+                  (the step engine skips its fault checks)
                   --fault-seed <n: 0>  seed for the deterministic fault plan
                   --recovery <failfast|degrade|restart: restart>
                   --checkpoint-every <k: 5>  snapshot interval for restart
@@ -227,7 +227,8 @@ COMMANDS:
                   --trace <on|off>  arm the telemetry layer: per-phase span
                   ring, latency/size histograms, live Eq. (2) drift monitor
                   (defaults to on when --trace-json or --metrics is given,
-                  else off; off leaves the clean hot path untouched)
+                  else off; off skips the per-message latency sample and the
+                  per-step recording)
                   --trace-json <file>  write a Chrome trace_event JSON
                   trace (load in chrome://tracing or Perfetto); over
                   --transport proc this is the merged cross-shard trace:

@@ -511,8 +511,8 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
             100.0 * (total - boundary) as f64 / total.max(1) as f64
         );
     }
-    // --fault-rate 0 leaves the chaos layer unarmed entirely, so the clean
-    // step path (and its zero-overhead guarantee) is untouched.
+    // --fault-rate 0 leaves the chaos layer unarmed: the step engine then
+    // skips its fault checks (one per PE, one per inbound message).
     if fault_rate > 0.0 {
         let plan = FaultPlan::generate(fault_seed, steps, parts, &FaultRates::uniform(fault_rate));
         if !quiet {
