@@ -1994,26 +1994,26 @@ impl BspExecutor {
             let k = self.clock[q];
             let end = t.span(PhaseId::Assemble, q, step, k.assemble);
             t.idle(q, step, end, assemble - k.assemble.secs);
-            let busy = match walls {
+            // This PE's compute seconds, and its idle tail after the
+            // exchange span before the broadcast holding it ended.
+            let (busy, exchange_idle) = match walls {
                 Walls::Barrier { compute, exchange } => {
                     let end = t.span(PhaseId::Compute, q, step, k.compute);
                     t.idle(q, step, end, compute - k.compute.secs);
-                    let end = t.span(PhaseId::Exchange, q, step, k.exchange);
-                    t.idle(q, step, end, exchange - k.exchange.secs);
-                    k.compute.secs
+                    (k.compute.secs, exchange - k.exchange.secs)
                 }
                 Walls::Overlap { merged } => {
                     let busy = k.post.secs + k.compute.secs;
                     t.span(PhaseId::Post, q, step, k.post);
                     t.span(PhaseId::Compute, q, step, k.compute);
-                    let end = t.span(PhaseId::Exchange, q, step, k.exchange);
-                    t.idle(q, step, end, merged - (busy + k.exchange.secs));
                     post_max = post_max.max(k.post.secs);
                     interior_max = interior_max.max(k.compute.secs);
                     busiest = busiest.max(busy);
-                    busy
+                    (busy, merged - (busy + k.exchange.secs))
                 }
             };
+            let exchange_end = t.span(PhaseId::Exchange, q, step, k.exchange);
+            t.idle(q, step, exchange_end, exchange_idle);
             t.data.compute_ns.record(secs_to_ns(busy));
             // Transport wait, nested at the tail of the exchange span: the
             // profiler splits the exchange into apply (this PE's work) and
@@ -2021,13 +2021,12 @@ impl BspExecutor {
             let waited = k.waited.clamp(0.0, k.exchange.secs);
             if waited > 0.0 {
                 let wait_ns = secs_to_ns(waited);
-                let end_ns = ns_since(t.epoch, k.exchange.start) + secs_to_ns(k.exchange.secs);
                 t.data.add_phase_wall(PhaseId::Wait, wait_ns);
                 t.data.span(Span {
                     phase: PhaseId::Wait,
                     pe: q as u32,
                     step,
-                    start_ns: end_ns - wait_ns,
+                    start_ns: exchange_end - wait_ns,
                     dur_ns: wait_ns,
                 });
             }
