@@ -30,9 +30,9 @@
 //!
 //! Faults and telemetry are plain `Option` hooks on that path, never a
 //! second copy of it, and never checked inside a kernel. An armed
-//! [`FaultPlan`](quake_core::fault::FaultPlan) is consulted once per PE in
-//! the compute pass (crash, straggle) and once per inbound message in the
-//! fetch (drop, corrupt, checksum verify, bounded re-fetch). Armed
+//! [`FaultPlan`] is consulted once per PE in the compute pass (crash,
+//! straggle) and once per inbound message in the fetch (drop, corrupt,
+//! checksum verify, bounded re-fetch). Armed
 //! telemetry costs one check per inbound message (its latency sample)
 //! while a broadcast runs; the spans, histograms, transport waits and
 //! drift feed are recorded in one block after the fold, from per-PE laps
@@ -2186,7 +2186,7 @@ mod tests {
         let plain = BspExecutor::new(&sys, 2);
         let mut traced = BspExecutor::new(&sys, 2);
         traced.enable_telemetry(TelemetryConfig::default());
-        // Checkpointing every step exercises the snapshot on every step.
+        // checkpoint_every = 1 snapshots the counters on every step.
         let mut chaos = BspExecutor::new(&sys, 2);
         chaos.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 1);
         for (what, mut exec) in [("plain", plain), ("traced", traced), ("chaos", chaos)] {
