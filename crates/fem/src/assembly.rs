@@ -132,7 +132,33 @@ mod tests {
     fn assembled_stiffness_is_symmetric() {
         let mesh = small_mesh();
         let sys = assemble(&mesh, &UniformMaterial(mat())).unwrap();
-        assert!(sys.stiffness.is_symmetric(1e-6));
+        // Exact: the symmetric time loop relies on K_ji being the bitwise
+        // transpose of K_ij (element_stiffness builds k[b][a] as the exact
+        // transpose of k[a][b], and both blocks sum the same elements in
+        // the same order).
+        assert!(sys.stiffness.is_symmetric(0.0));
+    }
+
+    #[test]
+    fn heterogeneous_stiffness_is_exactly_symmetric() {
+        use quake_mesh::ground::BasinModel;
+        let ground = BasinModel::san_fernando_like();
+        let mesh = generate_mesh(
+            ground.domain(),
+            &UniformSizing(6_000.0),
+            GeneratorOptions::default(),
+        )
+        .unwrap();
+        let sys = assemble(&mesh, &GroundMaterial(&ground)).unwrap();
+        let field = GroundMaterial(&ground);
+        let vs: Vec<f64> = (0..mesh.element_count())
+            .map(|e| field.material(&mesh, e).vs)
+            .collect();
+        assert!(
+            vs.iter().any(|&v| v != vs[0]),
+            "the basin must make the material heterogeneous"
+        );
+        assert!(sys.stiffness.is_symmetric(0.0));
     }
 
     #[test]

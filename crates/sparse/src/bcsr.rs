@@ -39,6 +39,23 @@ pub struct Bcsr3 {
 }
 
 impl Bcsr3 {
+    /// Wraps raw storage whose rows the caller has already sorted by
+    /// column, as [`Bcsr3Builder::build`] leaves them.
+    pub(crate) fn from_sorted_parts(
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        blocks: Vec<Mat3>,
+    ) -> Bcsr3 {
+        debug_assert_eq!(col_idx.len(), blocks.len());
+        debug_assert_eq!(row_ptr.last().copied(), Some(col_idx.len()));
+        Bcsr3 {
+            n: row_ptr.len() - 1,
+            row_ptr,
+            col_idx,
+            blocks,
+        }
+    }
+
     /// Number of block rows (mesh nodes).
     pub fn block_rows(&self) -> usize {
         self.n

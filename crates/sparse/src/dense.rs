@@ -250,6 +250,19 @@ impl Mat3 {
         )
     }
 
+    /// Transposed matrix-vector product `Aᵀ·v`, without forming `Aᵀ`.
+    /// Row `r` is `m[0][r]·v.x + m[1][r]·v.y + m[2][r]·v.z`, the same
+    /// operations in the same order as `self.transpose().mul_vec(v)`, so
+    /// the two are bitwise-equal.
+    #[inline]
+    pub fn mul_vec_transposed(&self, v: Vec3) -> Vec3 {
+        Vec3::new(
+            self.m[0][0] * v.x + self.m[1][0] * v.y + self.m[2][0] * v.z,
+            self.m[0][1] * v.x + self.m[1][1] * v.y + self.m[2][1] * v.z,
+            self.m[0][2] * v.x + self.m[1][2] * v.y + self.m[2][2] * v.z,
+        )
+    }
+
     /// The block as a flat row-major 9-tile, `[m00, m01, m02, m10, …]` —
     /// the value layout the register-blocked SMVP microkernel indexes.
     #[inline]
@@ -570,6 +583,19 @@ mod tests {
     fn mat3_transpose_involution() {
         let a = Mat3::new([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn mul_vec_transposed_is_bitwise_transpose_apply() {
+        // Column 0 sums to 0 left to right but not right to left, so the
+        // comparison sees the order of the terms.
+        let a = Mat3::new([[1.0, -2.7, 3.3], [1e-16, 5.5, -0.0], [-1.0, 4e-310, 9.9]]);
+        let v = Vec3::new(1.0, 1.0, 1.0);
+        let (got, want) = (a.mul_vec_transposed(v), a.transpose().mul_vec(v));
+        assert_eq!(
+            (got.x.to_bits(), got.y.to_bits(), got.z.to_bits()),
+            (want.x.to_bits(), want.y.to_bits(), want.z.to_bits())
+        );
     }
 
     #[test]

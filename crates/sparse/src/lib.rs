@@ -9,7 +9,8 @@
 //! * [`bcsr::Bcsr3`] — 3×3-block CSR matching the `3n × 3n` stiffness
 //!   matrix (three degrees of freedom per mesh node);
 //! * [`sym::SymCsr`] — symmetric (upper-triangle) storage as used by the
-//!   Spark98 kernels;
+//!   Spark98 kernels, and [`sym::SymBcsr3`], its 3×3-block counterpart
+//!   that the serial time loop runs on;
 //! * [`pattern::Pattern`] — symbolic node-adjacency structure;
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction;
 //! * [`tiles`] — SIMD-friendly flat tile layout and row-band cache
@@ -53,5 +54,5 @@ pub use csr::Csr;
 pub use dense::{Mat3, Vec3};
 pub use error::SparseError;
 pub use pattern::Pattern;
-pub use sym::SymCsr;
+pub use sym::{SymBcsr3, SymCsr};
 pub use tiles::{Band, BandPlan, Bcsr3Tiles};

@@ -1146,8 +1146,12 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         sim.time()
     );
     let smvp_flops = app.mesh.pattern().smvp_flops();
+    let k = sim.stiffness();
     println!(
-        "per step: one SMVP of {smvp_flops} flops; receiver peak displacement {:.3e} m",
+        "per step: one SMVP of {smvp_flops} flops over {:.1} MB (full storage {:.1} MB); \
+         receiver peak displacement {:.3e} m",
+        k.product_bytes() as f64 / 1e6,
+        k.full_product_bytes() as f64 / 1e6,
         sim.seismograms()[0].peak()
     );
     println!(

@@ -131,6 +131,49 @@ fn pipeline_wave_simulation_runs_on_generated_mesh() {
 }
 
 #[test]
+fn ground_model_time_loop_symmetric_storage_equals_pooled_full_storage() {
+    // The serial step runs on symmetric storage; the pooled step on full
+    // storage rebuilt from it. On a heterogeneous ground model both must
+    // produce the same displacements and seismogram, bit for bit.
+    let app = test_app();
+    let system = assemble(&app.mesh, &GroundMaterial(&app.ground)).expect("assembly");
+    let max_vp = 3f64.sqrt() * app.ground.vs_rock;
+    let dt = Simulation::stable_dt(&app.mesh, max_vp, 0.4);
+    let centre = app.ground.basin_center_surface();
+    let source = PointSource::nearest(
+        &app.mesh,
+        centre + Vec3::new(0.0, 0.0, -2_000.0),
+        Vec3::new(0.0, 0.0, 1e15),
+        Ricker::new(1.0 / app.config.period_s),
+    );
+    let rx = PointSource::nearest(&app.mesh, centre, Vec3::ZERO, Ricker::new(1.0)).node;
+    let run = |threads: usize| {
+        let mut sim = Simulation::new(system.clone(), dt).expect("simulation");
+        sim.set_parallel(threads);
+        sim.add_source(source);
+        sim.add_receiver(rx);
+        sim.run(100);
+        let bits = |v: &[Vec3]| -> Vec<[u64; 3]> {
+            v.iter()
+                .map(|u| [u.x.to_bits(), u.y.to_bits(), u.z.to_bits()])
+                .collect()
+        };
+        (
+            bits(sim.displacement()),
+            bits(&sim.seismograms()[0].samples),
+        )
+    };
+    let (serial_u, serial_seis) = run(1);
+    let (pooled_u, pooled_seis) = run(2);
+    assert!(
+        serial_seis.iter().flatten().any(|&b| b != 0),
+        "the source must reach the receiver"
+    );
+    assert!(serial_u == pooled_u, "displacements differ");
+    assert!(serial_seis == pooled_seis, "seismograms differ");
+}
+
+#[test]
 fn fixed_block_regime_consistent_between_model_and_simulator() {
     // Figure 10b machinery: split messages into 4-word blocks both in the
     // analytic model (B_max = C_max/4) and the event simulator, and check
